@@ -27,6 +27,7 @@
 //	figures -cache-dir .c   # memoize points under ./.c
 //	figures -cache-peer http://h0:9464   # also consult h0's shared cache tier
 //	figures -server :9464   # run the sweeps through a daosd server
+//	figures -cpuprofile cpu.out -memprofile mem.out   # profile the run
 package main
 
 import (
@@ -37,6 +38,7 @@ import (
 
 	"daosim/internal/bench"
 	"daosim/internal/cache"
+	"daosim/internal/profile"
 	"daosim/internal/studysvc"
 )
 
@@ -53,8 +55,19 @@ func main() {
 		cacheMax  = flag.Int64("cache-max-bytes", 0, "disk cache tier byte budget; least-recently-used entries are evicted above it (0 = unbounded)")
 		cachePeer = flag.String("cache-peer", "", "peer daosd URL whose cache joins the stack as a remote tier (enables caching)")
 		server    = flag.String("server", "", "run study sweeps through the daosd server at this address (host:port) instead of in-process")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf   = flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	)
 	flag.Parse()
+	stopProfile, err := profile.Start(*cpuProf, *memProf)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			log.Print(err)
+		}
+	}()
 	opts := bench.Options{Parallelism: *parallel, Seed: *seed}
 	if *quick {
 		opts.Scale = bench.Quick

@@ -65,5 +65,24 @@ func TestQuickCSVGolden(t *testing.T) {
 	}
 }
 
+// TestQuickFigure1ShutdownSeed pins `figures -quick -fig 1 -seed
+// 2734897969682603369`, a run whose testbed shutdown once landed a raft
+// datagram in an already closed server mailbox and panicked the drain.
+func TestQuickFigure1ShutdownSeed(t *testing.T) {
+	opts := bench.At(bench.Quick)
+	opts.Seed = 2734897969682603369
+	st, err := bench.Figure1(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range st.Series {
+		for _, pt := range s.Points {
+			if pt.Err != "" {
+				t.Errorf("%s at %d nodes: %s", s.Variant.Label, pt.Nodes, pt.Err)
+			}
+		}
+	}
+}
+
 // The -cache / -cache-dir flag matrix is covered by TestOpen in
 // internal/cache, which both commands share via cache.Open.

@@ -15,6 +15,7 @@
 // Sweeps can memoize completed points through the content-addressed cache
 // (-cache, -cache-dir; see internal/cache): a repeated sweep replays
 // byte-identical tables without simulating and reports its hit rate.
+// -cpuprofile and -memprofile write runtime/pprof profiles of the run.
 package main
 
 import (
@@ -30,6 +31,7 @@ import (
 	"daosim/internal/core"
 	"daosim/internal/ior"
 	"daosim/internal/placement"
+	"daosim/internal/profile"
 	"daosim/internal/sim"
 )
 
@@ -56,8 +58,19 @@ func main() {
 		cacheDir   = flag.String("cache-dir", "", "on-disk cache tier directory (implies -cache; explicitly empty = memory-only)")
 		cacheMax   = flag.Int64("cache-max-bytes", 0, "disk cache tier byte budget; least-recently-used entries are evicted above it (0 = unbounded)")
 		cachePeer  = flag.String("cache-peer", "", "peer daosd URL whose cache joins the stack as a remote tier (enables caching)")
+		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf    = flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	)
 	flag.Parse()
+	stopProfile, err := profile.Start(*cpuProf, *memProf)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			log.Print(err)
+		}
+	}()
 
 	cls, err := placement.ClassByName(strings.ToUpper(*class))
 	if err != nil {

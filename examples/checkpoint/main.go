@@ -103,10 +103,10 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
+			got := make([]byte, sliceBytes)
 			for s := 0; s < stripes; s++ {
 				off := (int64(s)*int64(ranks) + int64(r.ID())) * sliceBytes
-				got, err := f.ReadAtAll(cp, off, sliceBytes)
-				if err != nil {
+				if err := f.ReadAtAllInto(cp, off, sliceBytes, got); err != nil {
 					log.Fatal(err)
 				}
 				if !bytes.Equal(got, state(r.ID(), s)) {

@@ -60,18 +60,34 @@ func (a *Array) spans(off, n int64) []chunkSpan {
 
 // Write stores data at the byte offset.
 func (a *Array) Write(p *sim.Proc, off int64, data []byte) error {
-	if len(data) == 0 {
+	return a.WriteFrom(p, off, int64(len(data)), data)
+}
+
+// WriteFrom stores n bytes at the byte offset from src, which must be n
+// bytes long; each chunk span is a sub-slice of src, copied once into the
+// extent tree. A nil src records the write's geometry only — identical
+// RPCs, identical timing, no bytes stored: discard reads of the range
+// succeed and materializing reads of it fail.
+func (a *Array) WriteFrom(p *sim.Proc, off int64, n int64, src []byte) error {
+	if n <= 0 {
 		return nil
 	}
-	spans := a.spans(off, int64(len(data)))
+	if src != nil && int64(len(src)) != n {
+		return fmt.Errorf("daos: array write from %d-byte buffer, want %d", len(src), n)
+	}
+	spans := a.spans(off, n)
 	writes := make([]engine.WriteExt, 0, len(spans))
 	for _, sp := range spans {
-		writes = append(writes, engine.WriteExt{
+		w := engine.WriteExt{
 			Dkey:   engine.ChunkDkey(sp.chunk),
 			Akey:   arrayAkey,
 			Offset: sp.inOff,
-			Data:   data[sp.bufLo : sp.bufLo+sp.length],
-		})
+			Length: int(sp.length),
+		}
+		if src != nil {
+			w.Data = src[sp.bufLo : sp.bufLo+sp.length]
+		}
+		writes = append(writes, w)
 	}
 	return a.Obj.Update(p, writes)
 }
@@ -119,25 +135,6 @@ func (a *Array) ReadAtInto(p *sim.Proc, off int64, n int64, epoch vos.Epoch, dst
 		}
 	}
 	return nil
-}
-
-// Read fetches n bytes at the byte offset as visible at epoch (0 = latest).
-// Holes read as zeros: a read entirely inside an unwritten region returns a
-// zeroed buffer, exactly like a partially covered one.
-func (a *Array) ReadAt(p *sim.Proc, off int64, n int64, epoch vos.Epoch) ([]byte, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	buf := make([]byte, n)
-	if err := a.ReadAtInto(p, off, n, epoch, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// Read fetches the latest data at the byte offset.
-func (a *Array) Read(p *sim.Proc, off int64, n int64) ([]byte, error) {
-	return a.ReadAt(p, off, n, 0)
 }
 
 // Size returns the array's end-of-file: the max high-water mark across

@@ -115,6 +115,12 @@ func TestKVSnapshotRead(t *testing.T) {
 	})
 }
 
+// readArray reads n bytes at off into a fresh buffer.
+func readArray(p *sim.Proc, arr *daos.Array, off, n int64) ([]byte, error) {
+	buf := make([]byte, n)
+	return buf, arr.ReadAtInto(p, off, n, 0, buf)
+}
+
 func testArrayIO(t *testing.T, class placement.ClassID) {
 	withContainer(t, class, func(p *sim.Proc, tb *cluster.Testbed, ct *daos.Container) {
 		arr, err := ct.OpenArray(p, ct.AllocOID(class))
@@ -132,7 +138,7 @@ func testArrayIO(t *testing.T, class placement.ClassID) {
 			t.Error(err)
 			return
 		}
-		got, err := arr.Read(p, 0, size)
+		got, err := readArray(p, arr, 0, size)
 		if err != nil {
 			t.Error(err)
 			return
@@ -141,7 +147,7 @@ func testArrayIO(t *testing.T, class placement.ClassID) {
 			t.Errorf("class %v: read-back mismatch", class)
 		}
 		// Unaligned read across a chunk boundary.
-		got, err = arr.Read(p, (1<<20)-100, 200)
+		got, err = readArray(p, arr, (1<<20)-100, 200)
 		if err != nil || !bytes.Equal(got, data[(1<<20)-100:(1<<20)+100]) {
 			t.Errorf("class %v: unaligned read mismatch (%v)", class, err)
 		}
@@ -160,7 +166,7 @@ func TestArrayHolesReadZero(t *testing.T) {
 	withContainer(t, placement.S2, func(p *sim.Proc, tb *cluster.Testbed, ct *daos.Container) {
 		arr, _ := ct.OpenArray(p, ct.AllocOID(placement.S2))
 		arr.Write(p, 3<<20, []byte("end"))
-		got, err := arr.Read(p, 0, 10)
+		got, err := readArray(p, arr, 0, 10)
 		if err != nil {
 			t.Error(err)
 			return
@@ -178,9 +184,9 @@ func TestArrayHolesReadZero(t *testing.T) {
 // TestArrayReadHoleShapes pins the hole contract across every read shape:
 // whatever mix of written spans and holes the window covers — including a
 // window entirely inside one unwritten chunk, the case the old single-span
-// fast path handled asymmetrically — ReadAt returns exactly the written
-// bytes with zeros elsewhere, and ReadAtInto scrubs a dirty reused buffer
-// to the same contents.
+// fast path handled asymmetrically — ReadAtInto returns exactly the written
+// bytes with zeros elsewhere, into a fresh buffer and over a dirty reused
+// one alike.
 func TestArrayReadHoleShapes(t *testing.T) {
 	const chunk = 1 << 20 // cluster.Small container chunk size
 	cases := []struct {
@@ -224,13 +230,13 @@ func TestArrayReadHoleShapes(t *testing.T) {
 					t.Errorf("%s: case expects data at +%d but that is a hole", tc.name, rel)
 				}
 			}
-			got, err := arr.ReadAt(p, tc.off, tc.n, 0)
+			got, err := readArray(p, arr, tc.off, tc.n)
 			if err != nil {
-				t.Errorf("%s: ReadAt: %v", tc.name, err)
+				t.Errorf("%s: read: %v", tc.name, err)
 				continue
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("%s: ReadAt mismatch", tc.name)
+				t.Errorf("%s: read mismatch", tc.name)
 			}
 			dirty := bytes.Repeat([]byte{0xee}, int(tc.n))
 			if err := arr.ReadAtInto(p, tc.off, tc.n, 0, dirty); err != nil {
@@ -253,7 +259,7 @@ func TestArrayOverwrite(t *testing.T) {
 		arr, _ := ct.OpenArray(p, ct.AllocOID(placement.S2))
 		arr.Write(p, 0, bytes.Repeat([]byte{1}, 2<<20))
 		arr.Write(p, 1<<19, bytes.Repeat([]byte{2}, 1<<20)) // straddles chunks
-		got, err := arr.Read(p, 0, 2<<20)
+		got, err := readArray(p, arr, 0, 2<<20)
 		if err != nil {
 			t.Error(err)
 			return
@@ -293,7 +299,7 @@ func TestPunchRemovesData(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		got, err := arr.Read(p, 0, 4)
+		got, err := readArray(p, arr, 0, 4)
 		if err != nil {
 			t.Error(err)
 			return
@@ -350,7 +356,7 @@ func TestWriteAfterExclusionRemaps(t *testing.T) {
 		if newTarget/tb.Cfg.TargetsPerEngine == engineID {
 			t.Error("layout still points at the excluded engine")
 		}
-		got, err := arr.Read(p, 0, 6)
+		got, err := readArray(p, arr, 0, 6)
 		if err != nil || string(got) != "after!" {
 			t.Errorf("read after remap = %q, %v", got, err)
 		}
@@ -412,6 +418,57 @@ func TestOIDAllocationUnique(t *testing.T) {
 				}
 				seen[oid] = true
 			}
+		}
+	})
+}
+
+// TestArrayGeometryOnlyWrite pins the nil-source write through the whole
+// stack: it charges exactly what the same write with bytes charges, sizes
+// and discard reads see its geometry, and a materializing read over it
+// fails with vos.ErrGeometryOnly rather than returning zeros.
+func TestArrayGeometryOnlyWrite(t *testing.T) {
+	const n = 3<<20 + 512 // several chunks, unaligned end
+	elapsed := func(src []byte) time.Duration {
+		var d time.Duration
+		withContainer(t, placement.S2, func(p *sim.Proc, tb *cluster.Testbed, ct *daos.Container) {
+			arr, _ := ct.OpenArray(p, ct.AllocOID(placement.S2))
+			t0 := p.Now()
+			if err := arr.WriteFrom(p, 100, n, src); err != nil {
+				t.Error(err)
+			}
+			d = p.Now() - t0
+		})
+		return d
+	}
+	if geo, withData := elapsed(nil), elapsed(make([]byte, n)); geo != withData {
+		t.Errorf("geometry-only write took %v, the same write with bytes %v", geo, withData)
+	}
+
+	withContainer(t, placement.S2, func(p *sim.Proc, tb *cluster.Testbed, ct *daos.Container) {
+		arr, _ := ct.OpenArray(p, ct.AllocOID(placement.S2))
+		if err := arr.WriteFrom(p, 100, n, nil); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := arr.WriteFrom(p, 0, 8, make([]byte, 7)); err == nil {
+			t.Error("short src accepted")
+		}
+		if size, err := arr.Size(p); err != nil || size != 100+n {
+			t.Errorf("size = %d, %v; want %d", size, err, 100+n)
+		}
+		if err := arr.ReadAtInto(p, 0, 200, 0, nil); err != nil {
+			t.Errorf("discard read over geometry: %v", err)
+		}
+		if _, err := readArray(p, arr, 0, 200); !errors.Is(err, vos.ErrGeometryOnly) {
+			t.Errorf("materializing read over geometry: err = %v, want vos.ErrGeometryOnly", err)
+		}
+		// Bytes written over part of it read back; holes before it too.
+		if err := arr.Write(p, 100, []byte("real")); err != nil {
+			t.Error(err)
+			return
+		}
+		if got, err := readArray(p, arr, 96, 8); err != nil || string(got) != "\x00\x00\x00\x00real" {
+			t.Errorf("read = %q, %v", got, err)
 		}
 	})
 }

@@ -491,12 +491,14 @@ func (f *File) Class() placement.ClassID { return f.ent.Class }
 
 // WriteAt stores data at the byte offset.
 func (f *File) WriteAt(p *sim.Proc, off int64, data []byte) error {
-	return f.arr.Write(p, off, data)
+	return f.WriteAtFrom(p, off, int64(len(data)), data)
 }
 
-// ReadAt fetches n bytes at the byte offset; holes read as zeros.
-func (f *File) ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error) {
-	return f.arr.Read(p, off, n)
+// WriteAtFrom stores n bytes at the byte offset from src (len(src) == n). A
+// nil src records the write's geometry only, with identical timing (see
+// daos.Array.WriteFrom).
+func (f *File) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
+	return f.arr.WriteFrom(p, off, n, src)
 }
 
 // ReadAtInto fetches n bytes at the byte offset into dst (len(dst) == n;

@@ -13,6 +13,12 @@ import (
 )
 
 // withFS mounts a fresh filesystem on a small testbed.
+// readFile reads n bytes at off into a fresh buffer.
+func readFile(p *sim.Proc, f *dfs.File, off, n int64) ([]byte, error) {
+	buf := make([]byte, n)
+	return buf, f.ReadAtInto(p, off, n, buf)
+}
+
 func withFS(t *testing.T, body func(p *sim.Proc, tb *cluster.Testbed, fs *dfs.FS)) {
 	t.Helper()
 	tb := cluster.New(cluster.Small())
@@ -83,7 +89,7 @@ func TestFileWriteRead(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		got, err := f.ReadAt(p, 0, int64(len(payload)))
+		got, err := readFile(p, f, 0, int64(len(payload)))
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Errorf("read-back mismatch (err=%v)", err)
 		}
@@ -111,7 +117,7 @@ func TestNestedDirectories(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		data, _ := got.ReadAt(p, 0, 4)
+		data, _ := readFile(p, got, 0, 4)
 		if string(data) != "deep" {
 			t.Errorf("data = %q", data)
 		}
@@ -207,7 +213,7 @@ func TestRename(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		data, _ := g.ReadAt(p, 0, 7)
+		data, _ := readFile(p, g, 0, 7)
 		if string(data) != "payload" {
 			t.Errorf("renamed data = %q", data)
 		}
@@ -269,7 +275,7 @@ func TestSparseFile(t *testing.T) {
 		if size != 10<<20+4 {
 			t.Errorf("size = %d", size)
 		}
-		head, err := f.ReadAt(p, 0, 16)
+		head, err := readFile(p, f, 0, 16)
 		if err != nil || !bytes.Equal(head, make([]byte, 16)) {
 			t.Errorf("hole = %v, %v", head, err)
 		}

@@ -153,57 +153,56 @@ func (m *Mount) Open(p *sim.Proc, path string, flags OpenFlags, opts dfs.CreateO
 	return &File{mount: m, f: f}, nil
 }
 
-// Pwrite writes data at the offset, split into FUSE-sized requests. The
-// kernel keeps the requests of one syscall in flight concurrently (async
-// direct I/O through the FUSE device), so segments overlap across daemon
-// threads; the syscall completes when the slowest segment does.
+// Pwrite writes data at the offset.
 func (fd *File) Pwrite(p *sim.Proc, off int64, data []byte) (int, error) {
+	return fd.PwriteFrom(p, off, int64(len(data)), data)
+}
+
+// PwriteFrom writes n bytes at the offset from src (len(src) == n), split
+// into FUSE-sized requests. The kernel keeps the requests of one syscall in
+// flight concurrently (async direct I/O through the FUSE device), so
+// segments overlap across daemon threads; the syscall completes when the
+// slowest segment does. A nil src records the write's geometry only, with
+// identical requests and timing.
+func (fd *File) PwriteFrom(p *sim.Proc, off int64, n int64, src []byte) (int, error) {
+	if src != nil && int64(len(src)) != n {
+		return 0, fmt.Errorf("dfuse: pwrite from %d-byte buffer, want %d", len(src), n)
+	}
 	m := fd.mount
 	var segErr error
 	wg := sim.NewWaitGroup(m.threads.Sim())
-	total := 0
-	for len(data) > 0 {
-		n := int64(len(data))
-		if n > m.costs.MaxRequest {
-			n = m.costs.MaxRequest
+	var pos int64
+	for pos < n {
+		seg := min(n-pos, m.costs.MaxRequest)
+		segOff := off + pos
+		var segSrc []byte
+		if src != nil {
+			segSrc = src[pos : pos+seg]
 		}
-		seg := data[:n]
-		segOff := off
 		wg.Go("fuse-write", func(cp *sim.Proc) {
-			err := m.request(cp, n, func(cp *sim.Proc) error {
-				return fd.f.WriteAt(cp, segOff, seg)
+			err := m.request(cp, seg, func(cp *sim.Proc) error {
+				return fd.f.WriteAtFrom(cp, segOff, seg, segSrc)
 			})
 			if err != nil && segErr == nil {
 				segErr = err
 			}
 		})
-		total += int(n)
-		off += n
-		data = data[n:]
+		pos += seg
 	}
 	wg.Wait(p)
 	if segErr != nil {
 		return 0, fmt.Errorf("dfuse: pwrite: %w", segErr)
 	}
-	return total, nil
-}
-
-// Pread reads n bytes at the offset, split into FUSE-sized requests kept in
-// flight concurrently, mirroring Pwrite.
-func (fd *File) Pread(p *sim.Proc, off int64, n int64) ([]byte, error) {
-	out := make([]byte, n)
-	if err := fd.PreadInto(p, off, n, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return int(n), nil
 }
 
 // PreadInto reads n bytes at the offset into dst (len(dst) == n; every byte
-// is written, holes as zeros), with the same FUSE request splitting as
-// Pread: each segment lands in its disjoint sub-slice of dst directly. The
-// bounce-buffer charge is unchanged — the kernel crossing still moves the
-// bytes, the simulation just doesn't copy them again. A nil dst simulates
-// the read with identical timing without materializing data.
+// is written, holes as zeros), split into FUSE-sized requests kept in flight
+// concurrently, mirroring PwriteFrom: each segment lands in its disjoint
+// sub-slice of dst directly. The bounce-buffer charge is unchanged — the
+// kernel crossing still moves the bytes, the simulation just doesn't copy
+// them again. A nil dst simulates the read with identical timing without
+// materializing data.
 func (fd *File) PreadInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	m := fd.mount
 	var segErr error

@@ -52,7 +52,8 @@ func TestPosixRoundTrip(t *testing.T) {
 			t.Errorf("pwrite = %d, %v", n, err)
 			return
 		}
-		got, err := fd.Pread(p, 0, int64(len(payload)))
+		got := make([]byte, len(payload))
+		err = fd.PreadInto(p, 0, int64(len(payload)), got)
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Errorf("pread mismatch (err=%v)", err)
 		}

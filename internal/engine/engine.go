@@ -148,7 +148,7 @@ func (e *Engine) BulkDevice() *media.Device { return e.bulk }
 // values, single-value metadata) stays on persistent memory.
 func (e *Engine) tierSplit(writes []WriteExt) (scm, bulk int64) {
 	for _, w := range writes {
-		n := int64(len(w.Data))
+		n := w.size()
 		if e.bulk != nil && !w.Single && n >= e.cfg.BulkThreshold {
 			bulk += n
 		} else {
@@ -205,11 +205,29 @@ func (t *target) cont(uuid string, create bool) *vos.Container {
 // --- wire types ---
 
 // WriteExt is one extent (or single value) in an update RPC.
+//
+// Length and Data mirror ReadExt's Length and Dst: Length is the extent's
+// byte count and Data, when non-nil, its Length bytes. An array extent with
+// nil Data records geometry only — the write's offset and length with no
+// bytes stored, for writes whose content nobody reads — and charges exactly
+// what the same write with bytes charges: wire size, xstream time, device
+// allocation and media bytes all follow Length. A zero Length means
+// len(Data), so WriteExt{Dkey, Akey, Data} keeps working. Single values
+// always carry Data.
 type WriteExt struct {
 	Dkey, Akey []byte
 	Offset     int64
+	Length     int
 	Data       []byte
 	Single     bool
+}
+
+// size returns the extent's byte count.
+func (w WriteExt) size() int64 {
+	if w.Length == 0 {
+		return int64(len(w.Data))
+	}
+	return int64(w.Length)
 }
 
 // ReadExt is one extent (or single value) in a fetch RPC.
@@ -317,7 +335,7 @@ func reqSize(body interface{}) int64 {
 	case *UpdateReq:
 		n := int64(96)
 		for _, w := range r.Writes {
-			n += int64(len(w.Dkey) + len(w.Akey) + len(w.Data) + 32)
+			n += int64(len(w.Dkey)+len(w.Akey)+32) + w.size()
 		}
 		return n
 	case *FetchReq:
@@ -366,6 +384,13 @@ func (e *Engine) handleUpdate(p *sim.Proc, r *UpdateReq) fabric.Response {
 	t.xstream.Acquire(p)
 	defer t.xstream.Release()
 
+	for _, w := range r.Writes {
+		// Data must hold the extent's bytes when present; single values
+		// cannot be geometry-only.
+		if (w.Data != nil || w.Single) && int64(len(w.Data)) != w.size() {
+			return fabric.Response{Err: fmt.Errorf("engine: write of %d bytes carries %d (single=%v)", w.size(), len(w.Data), w.Single), Size: 64}
+		}
+	}
 	p.Sleep(e.cfg.Costs.RPCCost)
 	cont := t.cont(r.Cont, true)
 	epoch := e.nextEpoch()
@@ -376,12 +401,12 @@ func (e *Engine) handleUpdate(p *sim.Proc, r *UpdateReq) fabric.Response {
 		if w.Single {
 			created = cont.UpdateSingle(r.OID, w.Dkey, w.Akey, epoch, w.Data)
 		} else {
-			created = cont.UpdateArray(r.OID, w.Dkey, w.Akey, epoch, w.Offset, w.Data)
+			created = cont.UpdateArray(r.OID, w.Dkey, w.Akey, epoch, w.Offset, int(w.size()), w.Data)
 		}
 		if created {
 			first = true
 		}
-		bytes += int64(len(w.Data))
+		bytes += w.size()
 		p.Sleep(e.cfg.Costs.PerExtentCost)
 	}
 	if first {

@@ -292,3 +292,46 @@ func TestCountersAndStats(t *testing.T) {
 		t.Fatalf("objects = %d", r.eng.TargetObjects(0))
 	}
 }
+
+// TestGeometryOnlyUpdate pins WriteExt's length convention: an update with
+// a Length and no Data charges exactly what the same update with bytes
+// charges (virtual time, device bytes, client bytes), a materializing fetch
+// of it fails with vos.ErrGeometryOnly, and a Data slice that disagrees with
+// Length is rejected.
+func TestGeometryOnlyUpdate(t *testing.T) {
+	const n = 64 << 10
+	update := func(w WriteExt) (*rig, time.Duration) {
+		r := newRig()
+		if resp := r.call(t, &UpdateReq{Cont: "c0", OID: rigOID, Target: 1, Writes: []WriteExt{w}}); resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+		return r, r.sim.Now()
+	}
+	ext := WriteExt{Dkey: ChunkDkey(0), Akey: []byte("data"), Offset: 512}
+	withData := ext
+	withData.Data = make([]byte, n)
+	geometry := ext
+	geometry.Length = n
+	rd, tData := update(withData)
+	rg, tGeo := update(geometry)
+	if tData != tGeo || rd.eng.Device().WrBytes != rg.eng.Device().WrBytes || rd.eng.ClientBytes() != rg.eng.ClientBytes() {
+		t.Fatalf("geometry-only update: %v, %d media, %d client bytes; with data: %v, %d, %d",
+			tGeo, rg.eng.Device().WrBytes, rg.eng.ClientBytes(), tData, rd.eng.Device().WrBytes, rd.eng.ClientBytes())
+	}
+	fetch := func(rd ReadExt) fabric.Response {
+		return rg.call(t, &FetchReq{Cont: "c0", OID: rigOID, Target: 1, Reads: []ReadExt{rd}})
+	}
+	read := ReadExt{Dkey: ChunkDkey(0), Akey: []byte("data"), Offset: 512, Length: 4096}
+	if resp := fetch(read); !errors.Is(resp.Err, vos.ErrGeometryOnly) {
+		t.Fatalf("materializing fetch: err = %v, want vos.ErrGeometryOnly", resp.Err)
+	}
+	read.Discard = true
+	if resp := fetch(read); resp.Err != nil {
+		t.Fatalf("discard fetch: %v", resp.Err)
+	}
+	bad := ext
+	bad.Length, bad.Data = n, make([]byte, n-1)
+	if resp := rg.call(t, &UpdateReq{Cont: "c0", OID: rigOID, Target: 1, Writes: []WriteExt{bad}}); resp.Err == nil {
+		t.Fatal("update whose Data disagrees with Length accepted")
+	}
+}

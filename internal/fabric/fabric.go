@@ -196,7 +196,13 @@ func (f *Fabric) Send(p *sim.Proc, src, dst *Node, body interface{}, size int64)
 		src.tx.Transfer(p, wire)
 	}
 	d := Datagram{From: src.id, Body: body}
-	f.sim.After(f.cfg.WireLatency, func() { dst.mailbox.Send(d) })
+	f.sim.After(f.cfg.WireLatency, func() {
+		// A datagram still on the wire when its destination stopped (its
+		// mailbox closed) is dropped, as a dead node would drop it.
+		if !dst.mailbox.Closed() {
+			dst.mailbox.Send(d)
+		}
+	})
 }
 
 // Mailbox returns the node's datagram mailbox.

@@ -28,13 +28,14 @@ import (
 	"daosim/internal/sim"
 )
 
-// VFD is the virtual file driver under an HDF5 file. ReadAtInto is the
-// zero-copy read: it fills dst (len(dst) == n) in place, or — with a nil
-// dst — simulates the read with identical timing while materializing
-// nothing.
+// VFD is the virtual file driver under an HDF5 file. Its two data
+// primitives share one payload convention, a length plus an optional buffer:
+// WriteAtFrom stores n bytes from src (len(src) == n) or, with a nil src,
+// records the write's geometry only; ReadAtInto fills dst (len(dst) == n) in
+// place or, with a nil dst, simulates the read while materializing nothing.
+// Timing is identical either way.
 type VFD interface {
-	WriteAt(p *sim.Proc, off int64, data []byte) error
-	ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error)
+	WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error
 	ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error
 	Size(p *sim.Proc) (int64, error)
 	Sync(p *sim.Proc) error
@@ -47,12 +48,9 @@ type posixVFD struct{ fd *dfuse.File }
 // NewPosixVFD wraps a DFuse file as a VFD.
 func NewPosixVFD(fd *dfuse.File) VFD { return &posixVFD{fd: fd} }
 
-func (v *posixVFD) WriteAt(p *sim.Proc, off int64, data []byte) error {
-	_, err := v.fd.Pwrite(p, off, data)
+func (v *posixVFD) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
+	_, err := v.fd.PwriteFrom(p, off, n, src)
 	return err
-}
-func (v *posixVFD) ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error) {
-	return v.fd.Pread(p, off, n)
 }
 func (v *posixVFD) ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	return v.fd.PreadInto(p, off, n, dst)
@@ -60,6 +58,17 @@ func (v *posixVFD) ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error
 func (v *posixVFD) Size(p *sim.Proc) (int64, error) { return v.fd.Size(p) }
 func (v *posixVFD) Sync(p *sim.Proc) error          { return v.fd.Fsync(p) }
 func (v *posixVFD) Close(p *sim.Proc) error         { return v.fd.Close(p) }
+
+// writeMeta writes a metadata block; metadata always carries its bytes.
+func writeMeta(p *sim.Proc, vfd VFD, off int64, b []byte) error {
+	return vfd.WriteAtFrom(p, off, int64(len(b)), b)
+}
+
+// readMeta reads an n-byte metadata block into a fresh buffer.
+func readMeta(p *sim.Proc, vfd VFD, off int64, n int64) ([]byte, error) {
+	b := make([]byte, n)
+	return b, vfd.ReadAtInto(p, off, n, b)
+}
 
 // Format constants.
 const (
@@ -137,7 +146,7 @@ func Create(p *sim.Proc, vfd VFD, costs Costs) (*File, error) {
 	}
 	f.SetSieve(DefaultSieveSize)
 	p.Sleep(costs.LibOp)
-	if err := vfd.WriteAt(p, 0, f.encodeSuperblock(0, 0)); err != nil {
+	if err := writeMeta(p, vfd, 0, f.encodeSuperblock(0, 0)); err != nil {
 		return nil, fmt.Errorf("hdf5: create: %w", err)
 	}
 	return f, nil
@@ -148,7 +157,7 @@ func Create(p *sim.Proc, vfd VFD, costs Costs) (*File, error) {
 // every rank).
 func Open(p *sim.Proc, vfd VFD, costs Costs) (*File, error) {
 	p.Sleep(costs.LibOp)
-	sb, err := vfd.ReadAt(p, 0, superblockSize)
+	sb, err := readMeta(p, vfd, 0, superblockSize)
 	if err != nil {
 		return nil, fmt.Errorf("hdf5: open: %w", err)
 	}
@@ -211,7 +220,7 @@ func (f *File) CreateDataset(p *sim.Proc, name string, extent int64, chunkSize i
 	p.Sleep(f.costs.LibOp)
 	// The object header is written synchronously at creation: a small
 	// metadata write in the middle of the data stream.
-	if err := f.vfd.WriteAt(p, ds.headerOff, ds.encodeHeader()); err != nil {
+	if err := writeMeta(p, f.vfd, ds.headerOff, ds.encodeHeader()); err != nil {
 		return nil, fmt.Errorf("hdf5: dataset %s: %w", name, err)
 	}
 	return ds, nil
@@ -257,50 +266,52 @@ func decodeHeader(h []byte) *Dataset {
 
 // Write stores data at a byte offset within the dataset.
 func (ds *Dataset) Write(p *sim.Proc, off int64, data []byte) error {
+	return ds.WriteFrom(p, off, int64(len(data)), data)
+}
+
+// WriteFrom stores n bytes from src (len(src) == n) at a byte offset within
+// the dataset. A nil src records the write's geometry only — the same sieve
+// window loads and flushes, VFD requests, and library charges — without
+// moving any bytes; HDF5 metadata is written with its bytes either way.
+func (ds *Dataset) WriteFrom(p *sim.Proc, off int64, n int64, src []byte) error {
 	if !ds.file.writable {
 		return errors.New("hdf5: file not writable")
 	}
-	if off < 0 || off+int64(len(data)) > ds.Extent {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfBounds, off, off+int64(len(data)), ds.Extent)
+	if src != nil && int64(len(src)) != n {
+		return fmt.Errorf("hdf5: dataset %s: write from %d-byte buffer, want %d", ds.Name, len(src), n)
+	}
+	if off < 0 || off+n > ds.Extent {
+		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfBounds, off, off+n, ds.Extent)
 	}
 	p.Sleep(ds.file.costs.LibOp)
 	if ds.Layout == layoutContiguous {
 		if ds.file.sieve != nil {
-			return ds.file.sieveWrite(p, ds.dataOff+off, data)
+			return ds.file.sieveWrite(p, ds.dataOff+off, n, src)
 		}
-		return ds.file.vfd.WriteAt(p, ds.dataOff+off, data)
+		return ds.file.vfd.WriteAtFrom(p, ds.dataOff+off, n, src)
 	}
 	// Chunked: split across chunks, allocating at EOF on first touch.
-	for len(data) > 0 {
-		ci := off / ds.chunkSize
-		inOff := off % ds.chunkSize
-		n := ds.chunkSize - inOff
-		if n > int64(len(data)) {
-			n = int64(len(data))
-		}
+	var pos int64
+	for pos < n {
+		ci := (off + pos) / ds.chunkSize
+		inOff := (off + pos) % ds.chunkSize
+		l := min(ds.chunkSize-inOff, n-pos)
 		ent, ok := ds.chunks[ci]
 		if !ok {
 			ent = chunkEntry{fileOff: ds.file.alloc(ds.chunkSize), size: ds.chunkSize}
 			ds.chunks[ci] = ent
 			ds.file.dirty = true
 		}
-		if err := ds.file.vfd.WriteAt(p, ent.fileOff+inOff, data[:n]); err != nil {
+		var seg []byte
+		if src != nil {
+			seg = src[pos : pos+l]
+		}
+		if err := ds.file.vfd.WriteAtFrom(p, ent.fileOff+inOff, l, seg); err != nil {
 			return err
 		}
-		off += n
-		data = data[n:]
+		pos += l
 	}
 	return nil
-}
-
-// Read fetches n bytes at a byte offset within the dataset. Unwritten
-// chunked regions read as zeros.
-func (ds *Dataset) Read(p *sim.Proc, off int64, n int64) ([]byte, error) {
-	out := make([]byte, n)
-	if err := ds.ReadInto(p, off, n, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // ReadInto fetches n bytes at a byte offset within the dataset into dst
@@ -363,7 +374,7 @@ func (f *File) Flush(p *sim.Proc) error {
 		blocks := (len(ds.chunks) + indexBlockCap - 1) / indexBlockCap
 		for b := 0; b < blocks; b++ {
 			blockOff := f.alloc(int64(indexBlockCap * 24))
-			if err := f.vfd.WriteAt(p, blockOff, ds.encodeChunkBlock(b)); err != nil {
+			if err := writeMeta(p, f.vfd, blockOff, ds.encodeChunkBlock(b)); err != nil {
 				return err
 			}
 		}
@@ -380,10 +391,10 @@ func (f *File) Flush(p *sim.Proc) error {
 		idx = append(idx, rec...)
 		idx = append(idx, ds.encodeHeader()...)
 	}
-	if err := f.vfd.WriteAt(p, indexOff, idx); err != nil {
+	if err := writeMeta(p, f.vfd, indexOff, idx); err != nil {
 		return err
 	}
-	if err := f.vfd.WriteAt(p, 0, f.encodeSuperblock(indexOff, len(f.order))); err != nil {
+	if err := writeMeta(p, f.vfd, 0, f.encodeSuperblock(indexOff, len(f.order))); err != nil {
 		return err
 	}
 	f.dirty = false
@@ -421,7 +432,7 @@ func sortInt64(s []int64) {
 
 // readIndex loads the object index and chunk indexes at open.
 func (f *File) readIndex(p *sim.Proc, indexOff int64, count int) error {
-	idx, err := f.vfd.ReadAt(p, indexOff, int64(count)*(headerSize+16))
+	idx, err := readMeta(p, f.vfd, indexOff, int64(count)*(headerSize+16))
 	if err != nil {
 		return fmt.Errorf("hdf5: index read: %w", err)
 	}
@@ -456,7 +467,7 @@ func (f *File) readIndex(p *sim.Proc, indexOff int64, count int) error {
 		blocks := (pc.chunks + indexBlockCap - 1) / indexBlockCap
 		loaded := 0
 		for b := 0; b < blocks; b++ {
-			raw, err := f.vfd.ReadAt(p, blockOff, blockBytes)
+			raw, err := readMeta(p, f.vfd, blockOff, blockBytes)
 			if err != nil {
 				return fmt.Errorf("hdf5: chunk index read: %w", err)
 			}

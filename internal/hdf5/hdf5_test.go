@@ -12,7 +12,14 @@ import (
 	"daosim/internal/hdf5"
 	"daosim/internal/placement"
 	"daosim/internal/sim"
+	"daosim/internal/vos"
 )
+
+// readDS reads n bytes of a dataset into a fresh buffer.
+func readDS(p *sim.Proc, ds *hdf5.Dataset, off, n int64) ([]byte, error) {
+	buf := make([]byte, n)
+	return buf, ds.ReadInto(p, off, n, buf)
+}
 
 // withVFD provides a POSIX VFD over a dfuse mount on a small testbed.
 func withVFD(t *testing.T, body func(p *sim.Proc, newVFD func(p *sim.Proc, path string, create bool) hdf5.VFD)) {
@@ -76,7 +83,7 @@ func TestContiguousRoundTrip(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		got, err := ds.Read(p, 0, 4<<20)
+		got, err := readDS(p, ds, 0, 4<<20)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Errorf("round trip mismatch (%v)", err)
 		}
@@ -111,12 +118,12 @@ func TestReopenReadsBack(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		got, err := rd.Read(p, 0, 1<<20)
+		got, err := readDS(p, rd, 0, 1<<20)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Errorf("reopened read mismatch (%v)", err)
 		}
 		rd2, _ := g.OpenDataset(p, "d2")
-		got, _ = rd2.Read(p, 0, 4096)
+		got, _ = readDS(p, rd2, 0, 4096)
 		if !bytes.Equal(got, fill(4096, 42)) {
 			t.Error("second dataset mismatch")
 		}
@@ -144,20 +151,20 @@ func TestChunkedRoundTripAndReopen(t *testing.T) {
 			return
 		}
 		rd, _ := g.OpenDataset(p, "grid")
-		got, err := rd.Read(p, 0, 256<<10)
+		got, err := readDS(p, rd, 0, 256<<10)
 		if err != nil || !bytes.Equal(got, a) {
 			t.Errorf("chunk 0 mismatch (%v)", err)
 		}
-		got, _ = rd.Read(p, 3*(256<<10), 256<<10)
+		got, _ = readDS(p, rd, 3*(256<<10), 256<<10)
 		if !bytes.Equal(got, b) {
 			t.Error("chunk 3 mismatch")
 		}
-		got, _ = rd.Read(p, 8<<20-(512<<10), 512<<10)
+		got, _ = readDS(p, rd, 8<<20-(512<<10), 512<<10)
 		if !bytes.Equal(got, c) {
 			t.Error("tail straddle mismatch")
 		}
 		// Unwritten chunk reads as zeros.
-		got, _ = rd.Read(p, 256<<10, 256<<10)
+		got, _ = readDS(p, rd, 256<<10, 256<<10)
 		if !bytes.Equal(got, make([]byte, 256<<10)) {
 			t.Error("hole not zero")
 		}
@@ -195,7 +202,7 @@ func TestErrors(t *testing.T) {
 		if err := ds.Write(p, 1000, make([]byte, 100)); !errors.Is(err, hdf5.ErrOutOfBounds) {
 			t.Errorf("oob err = %v", err)
 		}
-		if _, err := ds.Read(p, 0, 2048); !errors.Is(err, hdf5.ErrOutOfBounds) {
+		if _, err := readDS(p, ds, 0, 2048); !errors.Is(err, hdf5.ErrOutOfBounds) {
 			t.Errorf("oob read err = %v", err)
 		}
 	})
@@ -204,7 +211,7 @@ func TestErrors(t *testing.T) {
 func TestOpenGarbageFails(t *testing.T) {
 	withVFD(t, func(p *sim.Proc, newVFD func(*sim.Proc, string, bool) hdf5.VFD) {
 		vfd := newVFD(p, "/garbage", true)
-		vfd.WriteAt(p, 0, fill(1024, 7))
+		vfd.WriteAtFrom(p, 0, 1024, fill(1024, 7))
 		if _, err := hdf5.Open(p, vfd, hdf5.DefaultCosts()); !errors.Is(err, hdf5.ErrNotHDF5) {
 			t.Errorf("err = %v", err)
 		}
@@ -225,10 +232,65 @@ func TestParallelSlabLayout(t *testing.T) {
 		g, _ := hdf5.Open(p, newVFD(p, "/shared.h5", false), hdf5.DefaultCosts())
 		rd, _ := g.OpenDataset(p, "data")
 		for r := 0; r < ranks; r++ {
-			got, err := rd.Read(p, int64(r)*slab, slab)
+			got, err := readDS(p, rd, int64(r)*slab, slab)
 			if err != nil || !bytes.Equal(got, fill(slab, byte(r))) {
 				t.Errorf("slab %d mismatch (%v)", r, err)
 			}
+		}
+	})
+}
+
+// TestGeometryOnlyWritesThroughSieve pins the sieve's geometry mode on a
+// contiguous dataset whose data is unaligned with the sieve windows: writes
+// without a source load and flush windows geometry-only, the file still
+// closes and reopens (its metadata stayed real), discard reads walk it, and
+// a materializing read of the data fails instead of returning zeros.
+func TestGeometryOnlyWritesThroughSieve(t *testing.T) {
+	const extent = 3 << 20
+	withVFD(t, func(p *sim.Proc, newVFD func(*sim.Proc, string, bool) hdf5.VFD) {
+		f, err := hdf5.Create(p, newVFD(p, "/geo.h5", true), hdf5.DefaultCosts())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ds, err := f.CreateDataset(p, "data", extent, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for off := int64(0); off < extent; off += 96 << 10 {
+			if err := ds.WriteFrom(p, off, 96<<10, nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if err := ds.WriteFrom(p, 0, 8, make([]byte, 4)); err == nil {
+			t.Error("short src accepted")
+		}
+		if err := f.Close(p); err != nil {
+			t.Error(err)
+			return
+		}
+		g, err := hdf5.Open(p, newVFD(p, "/geo.h5", false), hdf5.DefaultCosts())
+		if err != nil {
+			t.Errorf("reopen after geometry-only writes: %v", err)
+			return
+		}
+		rd, err := g.OpenDataset(p, "data")
+		if err != nil || rd.Extent != extent {
+			t.Errorf("dataset = %+v, %v", rd, err)
+			return
+		}
+		if err := rd.ReadInto(p, 1000, 1<<20, nil); err != nil {
+			t.Errorf("discard read: %v", err)
+		}
+		if _, err := readDS(p, rd, 1000, 4096); !errors.Is(err, vos.ErrGeometryOnly) {
+			t.Errorf("materializing read: err = %v, want vos.ErrGeometryOnly", err)
+		}
+		// A byte write must read-modify-write its window, whose bytes were
+		// never stored.
+		if err := rd.Write(p, 1000, []byte("x")); !errors.Is(err, vos.ErrGeometryOnly) {
+			t.Errorf("byte write into a geometry-only window: err = %v, want vos.ErrGeometryOnly", err)
 		}
 	})
 }

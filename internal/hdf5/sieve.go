@@ -16,13 +16,16 @@ package hdf5
 
 import "daosim/internal/sim"
 
-// sieve is the per-file staging buffer.
+// sieve is the per-file staging buffer. After a materializing load the
+// buffer holds the window's bytes (loaded); after a discard load or a
+// geometry-only write it does not, and a dirty window in that state flushes
+// geometry-only.
 type sieve struct {
 	size   int64
 	start  int64 // aligned window start; -1 when empty
 	data   []byte
 	dirty  bool
-	loaded bool // data holds the window's bytes (false after a discard load)
+	loaded bool // data holds the window's bytes
 }
 
 // DefaultSieveSize is the staging window for contiguous datasets. HDF5's
@@ -34,22 +37,28 @@ const DefaultSieveSize = int64(256) << 10
 // SetSieve sets the sieve buffer size for subsequent contiguous dataset
 // I/O. Zero disables staging (parallel-HDF5 behaviour). Any buffered dirty
 // data is NOT implicitly flushed; call Flush first when changing modes
-// mid-file.
+// mid-file. The buffer itself is allocated by the first access that needs
+// real bytes.
 func (f *File) SetSieve(size int64) {
 	if size <= 0 {
 		f.sieve = nil
 		return
 	}
-	f.sieve = &sieve{size: size, start: -1, data: make([]byte, size)}
+	f.sieve = &sieve{size: size, start: -1}
 }
 
-// flushSieve writes a dirty window back through the VFD.
+// flushSieve writes a dirty window back through the VFD: its bytes when the
+// buffer holds them, its geometry otherwise.
 func (f *File) flushSieve(p *sim.Proc) error {
 	s := f.sieve
 	if s == nil || !s.dirty {
 		return nil
 	}
-	if err := f.vfd.WriteAt(p, s.start, s.data); err != nil {
+	var src []byte
+	if s.loaded {
+		src = s.data
+	}
+	if err := f.vfd.WriteAtFrom(p, s.start, s.size, src); err != nil {
 		return err
 	}
 	s.dirty = false
@@ -61,20 +70,25 @@ func (f *File) flushSieve(p *sim.Proc) error {
 // straight into the staging buffer. With materialize false the window load
 // is simulated (same VFD request, same flush) without filling the buffer;
 // a later materializing access to the same window re-reads it, so discard
-// reads never poison the staging state.
+// loads never poison the staging state. A window dirty with geometry is
+// flushed before such a re-read, which then fails: its bytes were never
+// written.
 func (f *File) loadSieve(p *sim.Proc, off int64, materialize bool) error {
 	s := f.sieve
 	window := off - off%s.size
 	if s.start == window && (s.loaded || !materialize) {
 		return nil
 	}
-	if s.start != window {
+	if s.start != window || s.dirty {
 		if err := f.flushSieve(p); err != nil {
 			return err
 		}
 	}
 	var dst []byte
 	if materialize {
+		if s.data == nil {
+			s.data = make([]byte, s.size)
+		}
 		dst = s.data
 	}
 	if err := f.vfd.ReadAtInto(p, window, s.size, dst); err != nil {
@@ -85,39 +99,47 @@ func (f *File) loadSieve(p *sim.Proc, off int64, materialize bool) error {
 	return nil
 }
 
-// sieveWrite stages a contiguous-dataset write through the sieve. Writes
-// that exactly cover whole windows bypass the buffer (as HDF5 does), so
-// aligned applications avoid the penalty — the tuning the ablation bench
-// demonstrates.
-func (f *File) sieveWrite(p *sim.Proc, off int64, data []byte) error {
+// sieveWrite stages a contiguous-dataset write of n bytes from src through
+// the sieve. Writes that exactly cover whole windows bypass the buffer (as
+// HDF5 does), so aligned applications avoid the penalty — the tuning the
+// ablation bench demonstrates. A nil src stages geometry only: window loads
+// are discard loads and the window flushes geometry-only, with the same VFD
+// requests a byte write makes.
+func (f *File) sieveWrite(p *sim.Proc, off int64, n int64, src []byte) error {
 	s := f.sieve
-	for len(data) > 0 {
+	for n > 0 {
 		window := off - off%s.size
-		if off == window && int64(len(data)) >= s.size {
+		if off == window && n >= s.size {
 			// Full-window write: bypass.
 			if s.start == window {
 				s.start = -1 // invalidate stale staging
 				s.dirty = false
 			}
-			if err := f.vfd.WriteAt(p, off, data[:s.size]); err != nil {
+			var seg []byte
+			if src != nil {
+				seg, src = src[:s.size], src[s.size:]
+			}
+			if err := f.vfd.WriteAtFrom(p, off, s.size, seg); err != nil {
 				return err
 			}
 			off += s.size
-			data = data[s.size:]
+			n -= s.size
 			continue
 		}
-		if err := f.loadSieve(p, off, true); err != nil {
+		if err := f.loadSieve(p, off, src != nil); err != nil {
 			return err
 		}
 		lo := off - s.start
-		n := s.size - lo
-		if n > int64(len(data)) {
-			n = int64(len(data))
+		l := min(s.size-lo, n)
+		if src != nil {
+			copy(s.data[lo:lo+l], src[:l])
+			src = src[l:]
+		} else {
+			s.loaded = false
 		}
-		copy(s.data[lo:lo+n], data[:n])
 		s.dirty = true
-		off += n
-		data = data[n:]
+		off += l
+		n -= l
 	}
 	return nil
 }

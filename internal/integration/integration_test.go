@@ -56,7 +56,8 @@ func TestCrossInterfaceVisibility(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		got, err := fd.Pread(p, 0, int64(len(payload)))
+		got := make([]byte, len(payload))
+		err = fd.PreadInto(p, 0, int64(len(got)), got)
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Errorf("dfuse view mismatch (%v)", err)
 		}
@@ -69,7 +70,8 @@ func TestCrossInterfaceVisibility(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			got, err := mf.ReadAt(cp, 0, int64(len(payload)))
+			got := make([]byte, len(payload))
+			err = mf.ReadAtInto(cp, 0, int64(len(got)), got)
 			if err != nil || !bytes.Equal(got, payload) {
 				t.Errorf("mpiio view mismatch (%v)", err)
 			}
@@ -126,7 +128,8 @@ func TestHDF5OverEveryTransport(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			got, err := ds2.Read(cp, 0, int64(len(payload)))
+			got := make([]byte, len(payload))
+			err = ds2.ReadInto(cp, 0, int64(len(got)), got)
 			if err != nil || !bytes.Equal(got, payload) {
 				t.Errorf("hdf5-over-mpiio mismatch (%v)", err)
 			}
@@ -209,7 +212,8 @@ func TestAggregationUnderOverwriteWorkload(t *testing.T) {
 		if got := resp.Body.(*engine.AggregateResp).Reclaimed; got != 3<<20 {
 			t.Errorf("reclaimed = %d, want 3 MiB", got)
 		}
-		got, err := arr.Read(p, 0, 1<<20)
+		got := make([]byte, 1<<20)
+		err = arr.ReadAtInto(p, 0, 1<<20, 0, got)
 		if err != nil || !bytes.Equal(got, final) {
 			t.Errorf("post-aggregation data mismatch (%v)", err)
 		}

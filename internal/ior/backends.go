@@ -12,12 +12,12 @@ import (
 	"daosim/internal/sim"
 )
 
-// handle is one open test file. readAtInto fills the caller's dst (len ==
-// n, holes as zeros) so one buffer serves every transfer; a nil dst
-// simulates the read with identical timing without materializing data —
-// what the driver uses when verification is off.
+// handle is one open test file. writeAtFrom stores n bytes from src and
+// readAtInto fills the caller's dst (len == n, holes as zeros), so one
+// buffer serves every transfer; a nil src or dst moves no bytes with
+// identical timing — what the driver passes when verification is off.
 type handle interface {
-	writeAt(p *sim.Proc, off int64, data []byte) error
+	writeAtFrom(p *sim.Proc, off int64, n int64, src []byte) error
 	readAtInto(p *sim.Proc, off int64, n int64, dst []byte) error
 	closeFile(p *sim.Proc) error
 }
@@ -76,8 +76,8 @@ type dfsBackend struct {
 
 type dfsHandle struct{ f *dfs.File }
 
-func (h *dfsHandle) writeAt(p *sim.Proc, off int64, data []byte) error {
-	return h.f.WriteAt(p, off, data)
+func (h *dfsHandle) writeAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
+	return h.f.WriteAtFrom(p, off, n, src)
 }
 func (h *dfsHandle) readAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	return h.f.ReadAtInto(p, off, n, dst)
@@ -125,8 +125,8 @@ type posixBackend struct {
 
 type posixHandle struct{ fd *dfuse.File }
 
-func (h *posixHandle) writeAt(p *sim.Proc, off int64, data []byte) error {
-	_, err := h.fd.Pwrite(p, off, data)
+func (h *posixHandle) writeAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
+	_, err := h.fd.PwriteFrom(p, off, n, src)
 	return err
 }
 func (h *posixHandle) readAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
@@ -181,11 +181,11 @@ type mpiioHandle struct {
 	collective bool
 }
 
-func (h *mpiioHandle) writeAt(p *sim.Proc, off int64, data []byte) error {
+func (h *mpiioHandle) writeAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
 	if h.collective {
-		return h.f.WriteAtAll(p, off, data)
+		return h.f.WriteAtAllFrom(p, off, n, src)
 	}
-	return h.f.WriteAt(p, off, data)
+	return h.f.WriteAtFrom(p, off, n, src)
 }
 func (h *mpiioHandle) readAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	if h.collective {
@@ -242,8 +242,8 @@ type hdf5Handle struct {
 	ds *hdf5.Dataset
 }
 
-func (h *hdf5Handle) writeAt(p *sim.Proc, off int64, data []byte) error {
-	return h.ds.Write(p, off, data)
+func (h *hdf5Handle) writeAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
+	return h.ds.WriteFrom(p, off, n, src)
 }
 func (h *hdf5Handle) readAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	return h.ds.ReadInto(p, off, n, dst)

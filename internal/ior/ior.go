@@ -325,11 +325,14 @@ func runIteration(p *sim.Proc, env *Env, ns *namespace, cfg Config, iter int, re
 			return dir + "/testFile"
 		}
 
-		buf := make([]byte, cfg.TransferSize)
-		if !cfg.Verify {
-			// Without data verification the contents are irrelevant to
-			// timing; fill once instead of per transfer.
-			pattern(buf, r.ID(), 0)
+		// With verification on, one reused buffer carries each transfer's
+		// pattern down the write path and back for the read check. Without
+		// it the contents are irrelevant: a nil source records every write's
+		// geometry only, with identical timing — real IOR still moves the
+		// bytes, but the simulation only needs their geometry.
+		var buf []byte
+		if cfg.Verify {
+			buf = make([]byte, cfg.TransferSize)
 		}
 
 		if cfg.DoWrite {
@@ -345,7 +348,7 @@ func runIteration(p *sim.Proc, env *Env, ns *namespace, cfg Config, iter int, re
 				if cfg.Verify {
 					pattern(buf, r.ID(), off)
 				}
-				if err := h.writeAt(cp, off, buf); err != nil {
+				if err := h.writeAtFrom(cp, off, cfg.TransferSize, buf); err != nil {
 					noteErr(fmt.Errorf("rank %d write: %w", r.ID(), err))
 					return
 				}
@@ -371,10 +374,8 @@ func runIteration(p *sim.Proc, env *Env, ns *namespace, cfg Config, iter int, re
 			}
 			// With verification on, one reused buffer receives every
 			// transfer (readAtInto overwrites all n bytes, holes as zeros).
-			// Without it the contents are irrelevant: a nil destination
-			// simulates each read with identical timing while the data path
-			// materializes nothing — real IOR still moves the bytes, but the
-			// simulation only needs their geometry.
+			// Without it a nil destination simulates each read with
+			// identical timing while the data path materializes nothing.
 			var readBuf []byte
 			if cfg.Verify {
 				readBuf = make([]byte, cfg.TransferSize)

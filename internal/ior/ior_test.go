@@ -220,3 +220,55 @@ func TestRandomWithCollectiveRejected(t *testing.T) {
 		t.Fatal("random+collective accepted")
 	}
 }
+
+// TestVerifyDoesNotChangeTiming pins the geometry-only write path: with
+// Verify off every write reaches the store without bytes and every read
+// materializes nothing, and the simulated time of both phases must match
+// the verified run — which moves real bytes and checks them — exactly, on
+// every API and layout (HDF5 file-per-process runs through the data sieve,
+// shared HDF5 without it; MPI-I/O also collectively).
+func TestVerifyDoesNotChangeTiming(t *testing.T) {
+	type variant struct {
+		name string
+		cfg  ior.Config
+	}
+	var variants []variant
+	for _, api := range []ior.API{ior.APIDFS, ior.APIPosix, ior.APIMPIIO, ior.APIHDF5} {
+		for _, fpp := range []bool{true, false} {
+			layout := "shared"
+			if fpp {
+				layout = "fpp"
+			}
+			variants = append(variants, variant{string(api) + "/" + layout, base(api, fpp)})
+		}
+	}
+	coll := base(ior.APIMPIIO, false)
+	coll.Collective = true
+	variants = append(variants, variant{"MPIIO/collective", coll})
+	// Transfers smaller than the sieve window and misaligned with it: every
+	// window is loaded, partly written and flushed.
+	sieved := base(ior.APIHDF5, true)
+	sieved.BlockSize, sieved.TransferSize = 768<<10, 96<<10
+	variants = append(variants, variant{"HDF5/fpp/sub-window", sieved})
+
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			verified := runCfg(t, v.cfg)
+			if verified.VerifyErrors != 0 {
+				t.Fatalf("verify errors: %d", verified.VerifyErrors)
+			}
+			cfg := v.cfg
+			cfg.Verify = false
+			unverified := runCfg(t, cfg)
+			for _, ph := range []struct {
+				name string
+				a, b ior.Stats
+			}{{"write", verified.Write, unverified.Write}, {"read", verified.Read, unverified.Read}} {
+				if ph.a.MaxGiBs != ph.b.MaxGiBs || ph.a.Times[0] != ph.b.Times[0] {
+					t.Errorf("%s: verified %v GiB/s in %v, unverified %v GiB/s in %v",
+						ph.name, ph.a.MaxGiBs, ph.a.Times[0], ph.b.MaxGiBs, ph.b.Times[0])
+				}
+			}
+		})
+	}
+}

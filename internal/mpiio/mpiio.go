@@ -18,13 +18,14 @@ import (
 	"daosim/internal/sim"
 )
 
-// Driver is the ADIO device abstraction (one open handle per rank).
-// ReadAtInto is the zero-copy variant of ReadAt: it fills dst (len(dst) ==
-// n) in place, or — with a nil dst — simulates the read with identical
-// timing while materializing nothing.
+// Driver is the ADIO device abstraction (one open handle per rank). Its two
+// data primitives share one payload convention: a length plus an optional
+// buffer. WriteAtFrom stores n bytes from src (len(src) == n) or, with a nil
+// src, records the write's geometry only; ReadAtInto fills dst (len(dst) ==
+// n) in place or, with a nil dst, simulates the read while materializing
+// nothing. Timing is identical either way.
 type Driver interface {
-	WriteAt(p *sim.Proc, off int64, data []byte) error
-	ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error)
+	WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error
 	ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error
 	Size(p *sim.Proc) (int64, error)
 	Sync(p *sim.Proc) error
@@ -34,11 +35,8 @@ type Driver interface {
 // dfsDriver drives a DFS file directly.
 type dfsDriver struct{ f *dfs.File }
 
-func (d *dfsDriver) WriteAt(p *sim.Proc, off int64, data []byte) error {
-	return d.f.WriteAt(p, off, data)
-}
-func (d *dfsDriver) ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error) {
-	return d.f.ReadAt(p, off, n)
+func (d *dfsDriver) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
+	return d.f.WriteAtFrom(p, off, n, src)
 }
 func (d *dfsDriver) ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	return d.f.ReadAtInto(p, off, n, dst)
@@ -50,12 +48,9 @@ func (d *dfsDriver) Close(p *sim.Proc) error         { return d.f.Close(p) }
 // posixDriver drives a file through a DFuse mount.
 type posixDriver struct{ fd *dfuse.File }
 
-func (d *posixDriver) WriteAt(p *sim.Proc, off int64, data []byte) error {
-	_, err := d.fd.Pwrite(p, off, data)
+func (d *posixDriver) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
+	_, err := d.fd.PwriteFrom(p, off, n, src)
 	return err
-}
-func (d *posixDriver) ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error) {
-	return d.fd.Pread(p, off, n)
 }
 func (d *posixDriver) ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	return d.fd.PreadInto(p, off, n, dst)
@@ -157,12 +152,14 @@ func (f *File) SetView(disp int64) { f.disp = disp }
 
 // WriteAt performs an independent write at the view-relative offset.
 func (f *File) WriteAt(p *sim.Proc, off int64, data []byte) error {
-	return f.drv.WriteAt(p, f.disp+off, data)
+	return f.WriteAtFrom(p, off, int64(len(data)), data)
 }
 
-// ReadAt performs an independent read at the view-relative offset.
-func (f *File) ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error) {
-	return f.drv.ReadAt(p, f.disp+off, n)
+// WriteAtFrom performs an independent write of n bytes from src (len(src)
+// == n) at the view-relative offset. A nil src records the write's
+// geometry only, with identical timing.
+func (f *File) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
+	return f.drv.WriteAtFrom(p, f.disp+off, n, src)
 }
 
 // ReadAtInto performs an independent read at the view-relative offset into
@@ -184,7 +181,7 @@ func (f *File) Close(p *sim.Proc) error { return f.drv.Close(p) }
 // piece is a shuffle unit in two-phase I/O.
 type piece struct {
 	Off  int64
-	Data []byte // nil in read-request phase
+	Data []byte // nil in read requests and geometry-only writes
 	Len  int64
 	// Discard marks a read request whose bytes the requester will not
 	// observe: the aggregator answers with timing-equivalent empty pieces
@@ -249,15 +246,28 @@ func appendPiece(v interface{}, pc *piece) []*piece {
 // to node aggregators, which write coalesced contiguous runs. Every rank
 // must call it (pass nil data for zero-length participation).
 func (f *File) WriteAtAll(p *sim.Proc, off int64, data []byte) error {
-	lo, hi, ok := f.collectiveExtent(p, off, int64(len(data)))
+	return f.WriteAtAllFrom(p, off, int64(len(data)), data)
+}
+
+// WriteAtAllFrom is the collective write of n bytes from src (len(src) ==
+// n). A rank passing a nil src ships geometry-only pieces: exchanges keep
+// their sizes (the shuffle still moves the bytes in simulated time) and
+// aggregators write those runs geometry-only, so an all-geometry collective
+// moves no bytes. Every rank must call it (n == 0 for zero-length
+// participation).
+func (f *File) WriteAtAllFrom(p *sim.Proc, off int64, n int64, src []byte) error {
+	if src != nil && int64(len(src)) != n {
+		return fmt.Errorf("mpiio: collective write from %d-byte buffer, want %d", len(src), n)
+	}
+	lo, hi, ok := f.collectiveExtent(p, off, n)
 	if !ok {
 		return nil // nobody wrote anything
 	}
 	aggs, bounds := f.aggDomains(lo, hi)
 	vals := make([]interface{}, f.rank.Size())
 	sizes := make([]int64, f.rank.Size())
-	if len(data) > 0 {
-		routePieces(f.disp+off, data, int64(len(data)), aggs, bounds, vals, sizes)
+	if n > 0 {
+		routePieces(f.disp+off, src, n, aggs, bounds, vals, sizes)
 	}
 	incoming := f.rank.Exchange(p, vals, sizes)
 	// Aggregators coalesce and write their domain.
@@ -281,54 +291,57 @@ func (f *File) WriteAtAll(p *sim.Proc, off int64, data []byte) error {
 }
 
 // writeCoalesced sorts pieces and writes contiguous runs, bounded by
-// CBBufSize per driver call.
+// CBBufSize per driver call. A run tracks its length; only pieces that carry
+// bytes are gathered into the collective buffer, and a run never mixes the
+// two kinds, so geometry-only runs reach the driver with a nil source.
 func (f *File) writeCoalesced(p *sim.Proc, pieces []*piece) error {
 	if len(pieces) == 0 {
 		return nil
 	}
 	sort.Slice(pieces, func(i, j int) bool { return pieces[i].Off < pieces[j].Off })
-	run := make([]byte, 0, f.hints.CBBufSize)
-	runOff := pieces[0].Off
+	var buf []byte // the collective buffer, allocated on the first byte piece
+	var runOff, runLen int64
+	geometry := false
 	flush := func() error {
-		if len(run) == 0 {
+		if runLen == 0 {
 			return nil
 		}
-		err := f.drv.WriteAt(p, runOff, run)
-		run = run[:0]
+		var src []byte
+		if !geometry {
+			src = buf
+		}
+		err := f.drv.WriteAtFrom(p, runOff, runLen, src)
+		buf, runLen = buf[:0], 0
 		return err
 	}
 	for _, pc := range pieces {
-		if pc.Off != runOff+int64(len(run)) || int64(len(run))+pc.Len > f.hints.CBBufSize {
+		pcGeometry := pc.Data == nil
+		if pc.Off != runOff+runLen || runLen+pc.Len > f.hints.CBBufSize || runLen > 0 && pcGeometry != geometry {
 			if err := flush(); err != nil {
 				return err
 			}
 			runOff = pc.Off
 		}
-		run = append(run, pc.Data...)
+		geometry = pcGeometry
+		if !pcGeometry {
+			if buf == nil {
+				buf = make([]byte, 0, f.hints.CBBufSize)
+			}
+			buf = append(buf, pc.Data...)
+		}
+		runLen += pc.Len
 	}
 	return flush()
 }
 
-// ReadAtAll performs a two-phase collective read: aggregators read their
-// file domains and ship each rank its pieces.
-func (f *File) ReadAtAll(p *sim.Proc, off int64, n int64) ([]byte, error) {
-	out := make([]byte, n)
-	if err := f.ReadAtAllInto(p, off, n, out); err != nil {
-		return nil, err
-	}
-	if n <= 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
-// ReadAtAllInto is the collective read landing each rank's pieces directly
-// in dst (len(dst) == n; the answered pieces cover every byte). A rank
-// passing a nil dst sends discard-tagged requests: exchanges keep their
-// sizes (the shuffle still ships the bytes in simulated time) and an
-// aggregator whose incoming requests are all discards skips materializing
-// its covering read, so an all-discard collective moves nothing. Every rank
-// must call it (nil dst with n == 0 for zero-length participation).
+// ReadAtAllInto performs a two-phase collective read: aggregators read their
+// file domains and ship each rank its pieces, which land directly in dst
+// (len(dst) == n; the answered pieces cover every byte). A rank passing a
+// nil dst sends discard-tagged requests: exchanges keep their sizes (the
+// shuffle still ships the bytes in simulated time) and an aggregator whose
+// incoming requests are all discards skips materializing its covering read,
+// so an all-discard collective moves nothing. Every rank must call it (nil
+// dst with n == 0 for zero-length participation).
 func (f *File) ReadAtAllInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	lo, hi, ok := f.collectiveExtent(p, off, n)
 	if !ok {

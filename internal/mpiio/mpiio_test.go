@@ -2,6 +2,7 @@ package mpiio_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"daosim/internal/cluster"
@@ -13,7 +14,20 @@ import (
 	"daosim/internal/mpiio"
 	"daosim/internal/placement"
 	"daosim/internal/sim"
+	"daosim/internal/vos"
 )
+
+// readAt performs an independent read of n bytes into a fresh buffer.
+func readAt(p *sim.Proc, f *mpiio.File, off, n int64) ([]byte, error) {
+	buf := make([]byte, n)
+	return buf, f.ReadAtInto(p, off, n, buf)
+}
+
+// readAtAll performs a collective read of n bytes into a fresh buffer.
+func readAtAll(p *sim.Proc, f *mpiio.File, off, n int64) ([]byte, error) {
+	buf := make([]byte, n)
+	return buf, f.ReadAtAllInto(p, off, n, buf)
+}
 
 // env is a shared-file test environment: a world, per-node DFS mounts, and
 // per-node dfuse mounts.
@@ -101,7 +115,7 @@ func TestIndependentSharedFileDFS(t *testing.T) {
 			r.Barrier(cp)
 			// Read the neighbour's block (defeats any locality).
 			peer := (r.ID() + 1) % ranks
-			got, err := f.ReadAt(cp, int64(peer)*blk, blk)
+			got, err := readAt(cp, f, int64(peer)*blk, blk)
 			if err != nil || !bytes.Equal(got, pattern(peer, blk)) {
 				t.Errorf("rank %d: neighbour read mismatch (%v)", r.ID(), err)
 			}
@@ -126,7 +140,7 @@ func TestIndependentSharedFilePOSIX(t *testing.T) {
 			}
 			r.Barrier(cp)
 			peer := (r.ID() + 3) % ranks
-			got, err := f.ReadAt(cp, int64(peer)*blk, blk)
+			got, err := readAt(cp, f, int64(peer)*blk, blk)
 			if err != nil || !bytes.Equal(got, pattern(peer, blk)) {
 				t.Errorf("rank %d: read mismatch (%v)", r.ID(), err)
 			}
@@ -149,13 +163,13 @@ func TestCollectiveWriteReadRoundTrip(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			got, err := f.ReadAtAll(cp, off, blk)
+			got, err := readAtAll(cp, f, off, blk)
 			if err != nil || !bytes.Equal(got, pattern(r.ID(), blk)) {
 				t.Errorf("rank %d: collective round trip mismatch (%v)", r.ID(), err)
 			}
 			// Cross-check: collective read of the neighbour's block.
 			peer := (r.ID() + 1) % ranks
-			got, err = f.ReadAtAll(cp, int64(peer)*blk, blk)
+			got, err = readAtAll(cp, f, int64(peer)*blk, blk)
 			if err != nil || !bytes.Equal(got, pattern(peer, blk)) {
 				t.Errorf("rank %d: collective neighbour read mismatch (%v)", r.ID(), err)
 			}
@@ -190,7 +204,7 @@ func TestCollectiveInterleavedPattern(t *testing.T) {
 			for c := 0; c < cellsPerRank; c++ {
 				for owner := 0; owner < ranks; owner++ {
 					off := int64(c*ranks+owner) * cell
-					got, err := f.ReadAt(cp, off, cell)
+					got, err := readAt(cp, f, off, cell)
 					if err != nil || !bytes.Equal(got, pattern(owner+c*100, cell)) {
 						t.Errorf("cell (%d,%d) mismatch (%v)", c, owner, err)
 						return
@@ -215,13 +229,13 @@ func TestSetView(t *testing.T) {
 				f.WriteAt(cp, 0, []byte("header-relative"))
 			}
 			r.Barrier(cp)
-			got, err := f.ReadAt(cp, 0, 15)
+			got, err := readAt(cp, f, 0, 15)
 			if err != nil || string(got) != "header-relative" {
 				t.Errorf("view read = %q, %v", got, err)
 			}
 			// The absolute file offset is displaced.
 			f.SetView(0)
-			got, _ = f.ReadAt(cp, 4096, 15)
+			got, _ = readAt(cp, f, 4096, 15)
 			if string(got) != "header-relative" {
 				t.Errorf("absolute read = %q", got)
 			}
@@ -246,7 +260,7 @@ func TestCollectiveZeroLengthParticipant(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			got, err := f.ReadAtAll(cp, 0, 8192)
+			got, err := readAtAll(cp, f, 0, 8192)
 			if err != nil || !bytes.Equal(got, pattern(0, 8192)) {
 				t.Errorf("rank %d read mismatch (%v)", r.ID(), err)
 			}
@@ -264,6 +278,44 @@ func TestFileSizeAfterSharedWrites(t *testing.T) {
 			size, err := f.Size(cp)
 			if err != nil || size != ranks*blk {
 				t.Errorf("size = %d, %v (want %d)", size, err, ranks*blk)
+			}
+		})
+	})
+}
+
+// TestCollectiveMixedGeometryWrite runs a collective write in which one rank
+// ships bytes and the other geometry only: aggregators never merge the two
+// kinds into one run, so the bytes read back and the geometry-only range
+// fails a materializing read instead of reading as zeros.
+func TestCollectiveMixedGeometryWrite(t *testing.T) {
+	const blk = 1 << 18
+	withEnv(t, 2, func(p *sim.Proc, e *env) {
+		e.world.Parallel(p, func(cp *sim.Proc, r *mpi.Rank) {
+			f, err := mpiio.OpenDFS(cp, r, e.fs[r.ID()], "/mixed.dat", true, dfs.CreateOpts{}, mpiio.DefaultHints(2))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var src []byte
+			if r.ID() == 0 {
+				src = pattern(0, blk)
+			}
+			if err := f.WriteAtAllFrom(cp, int64(r.ID())*blk, blk, src); err != nil {
+				t.Error(err)
+				return
+			}
+			r.Barrier(cp)
+			if r.ID() != 0 {
+				return
+			}
+			if got, err := readAt(cp, f, 0, blk); err != nil || !bytes.Equal(got, pattern(0, blk)) {
+				t.Errorf("byte range mismatch (%v)", err)
+			}
+			if _, err := readAt(cp, f, blk-8, 16); !errors.Is(err, vos.ErrGeometryOnly) {
+				t.Errorf("read into the geometry range: err = %v, want vos.ErrGeometryOnly", err)
+			}
+			if err := f.ReadAtInto(cp, 0, 2*blk, nil); err != nil {
+				t.Errorf("discard read: %v", err)
 			}
 		})
 	})

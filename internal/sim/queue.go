@@ -66,5 +66,10 @@ func (q *Queue) Close() {
 	}
 }
 
+// Closed reports whether Close has been called. Deliveries scheduled before
+// a queue closed (datagrams still on the wire) check it and drop, as a
+// stopped node would.
+func (q *Queue) Closed() bool { return q.closed }
+
 // Len returns the number of queued messages.
 func (q *Queue) Len() int { return q.items.Len() }

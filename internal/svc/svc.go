@@ -285,7 +285,9 @@ func Start(s *sim.Sim, f *fabric.Fabric, nodes []*fabric.Node) *Service {
 					return
 				}
 				if env, isRaft := v.(fabric.Datagram); isRaft {
-					if re, ok := env.Body.(raftEnvelope); ok {
+					// Datagrams drained after Stop find the replica's
+					// mailbox closed and are dropped.
+					if re, ok := env.Body.(raftEnvelope); ok && !node.Mailbox().Closed() {
 						node.Mailbox().Send(re.msg)
 					}
 				}

@@ -202,3 +202,23 @@ func TestResultErrMapping(t *testing.T) {
 		t.Fatal("sentinel identity broken")
 	}
 }
+
+// TestStopWithDatagramInFlight pins shutdown against traffic still on the
+// wire: a datagram sent just before Stop lands after the replica mailboxes
+// closed, and one already queued in a fabric mailbox is drained by the pump
+// after its replica stopped. Both must be dropped, not panic the drain.
+func TestStopWithDatagramInFlight(t *testing.T) {
+	h := newHarness(t)
+	src, dst := h.svc.nodes[1], h.svc.nodes[0]
+	h.sim.Spawn("late-sender", func(p *sim.Proc) {
+		h.fab.Send(p, src, dst, raftEnvelope{msg: "in flight"}, 64)
+		// No yield between the enqueue and Stop: the pump first sees this
+		// datagram after its replica's mailbox closed.
+		dst.Mailbox().Send(fabric.Datagram{From: 1, Body: raftEnvelope{msg: "queued"}})
+		h.svc.Stop()
+	})
+	h.sim.Run()
+	if !dst.Mailbox().Closed() {
+		t.Fatal("Stop left a replica mailbox open")
+	}
+}

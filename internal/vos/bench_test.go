@@ -124,6 +124,19 @@ func BenchmarkContainerUpdateArray(b *testing.B) {
 	dk := []byte("chunk.0000000000000000")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.UpdateArray(oid, dk, []byte("data"), Epoch(i+1), 0, data[:4096])
+		c.UpdateArray(oid, dk, []byte("data"), Epoch(i+1), 0, 4096, data[:4096])
+	}
+}
+
+// BenchmarkExtentInsertGeometry records IOR-sized (1 MiB) writes whose
+// bytes nobody reads: geometry-only extents, so each insert stores an
+// offset, a length and an epoch, and copies nothing.
+func BenchmarkExtentInsertGeometry(b *testing.B) {
+	const xfer = 1 << 20
+	tr := NewExtentTree()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.InsertFrom(nil, int64(i)*xfer, xfer, Epoch(i+1))
 	}
 }

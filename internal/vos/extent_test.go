@@ -2,14 +2,25 @@ package vos
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
 
+// mustRead is Read for trees holding no geometry-only extents.
+func mustRead(t testing.TB, tr *ExtentTree, offset int64, length int, epoch Epoch) ([]byte, int64) {
+	t.Helper()
+	buf, covered, err := tr.Read(offset, length, epoch)
+	if err != nil {
+		t.Fatalf("Read([%d,%d)) at %d: %v", offset, offset+int64(length), epoch, err)
+	}
+	return buf, covered
+}
+
 func TestExtentSimpleRoundTrip(t *testing.T) {
 	tr := NewExtentTree()
 	tr.Insert(0, 1, []byte("hello"))
-	got, covered := tr.Read(0, 5, EpochMax)
+	got, covered := mustRead(t, tr, 0, 5, EpochMax)
 	if string(got) != "hello" || covered != 5 {
 		t.Fatalf("read = %q covered=%d", got, covered)
 	}
@@ -21,7 +32,7 @@ func TestExtentSimpleRoundTrip(t *testing.T) {
 func TestExtentHolesReadZero(t *testing.T) {
 	tr := NewExtentTree()
 	tr.Insert(10, 1, []byte("abc"))
-	got, covered := tr.Read(5, 10, EpochMax)
+	got, covered := mustRead(t, tr, 5, 10, EpochMax)
 	want := append(make([]byte, 5), 'a', 'b', 'c', 0, 0)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("read = %v, want %v", got, want)
@@ -35,17 +46,17 @@ func TestExtentOverwriteNewerEpochWins(t *testing.T) {
 	tr := NewExtentTree()
 	tr.Insert(0, 1, []byte("aaaaaa"))
 	tr.Insert(2, 5, []byte("BB"))
-	got, _ := tr.Read(0, 6, EpochMax)
+	got, _ := mustRead(t, tr, 0, 6, EpochMax)
 	if string(got) != "aaBBaa" {
 		t.Fatalf("latest read = %q, want aaBBaa", got)
 	}
 	// Reading at epoch 1 sees the original.
-	got, _ = tr.Read(0, 6, 1)
+	got, _ = mustRead(t, tr, 0, 6, 1)
 	if string(got) != "aaaaaa" {
 		t.Fatalf("epoch-1 read = %q, want aaaaaa", got)
 	}
 	// Reading at epoch 4 (before the overwrite) also sees the original.
-	got, _ = tr.Read(0, 6, 4)
+	got, _ = mustRead(t, tr, 0, 6, 4)
 	if string(got) != "aaaaaa" {
 		t.Fatalf("epoch-4 read = %q", got)
 	}
@@ -58,7 +69,7 @@ func TestExtentInterleavedEpochOrder(t *testing.T) {
 	tr.Insert(4, 3, []byte("CCCC"))
 	tr.Insert(0, 1, []byte("aaaaaaaa"))
 	tr.Insert(2, 2, []byte("bbbb"))
-	got, _ := tr.Read(0, 8, EpochMax)
+	got, _ := mustRead(t, tr, 0, 8, EpochMax)
 	if string(got) != "aabbCCCC" {
 		t.Fatalf("read = %q, want aabbCCCC", got)
 	}
@@ -80,12 +91,12 @@ func TestExtentAggregateReclaims(t *testing.T) {
 	tr := NewExtentTree()
 	tr.Insert(0, 1, bytes.Repeat([]byte("a"), 100))
 	tr.Insert(0, 2, bytes.Repeat([]byte("b"), 100)) // fully shadows epoch 1
-	before, _ := tr.Read(0, 100, EpochMax)
+	before, _ := mustRead(t, tr, 0, 100, EpochMax)
 	reclaimed := tr.Aggregate(EpochMax)
 	if reclaimed != 100 {
 		t.Fatalf("reclaimed = %d, want 100", reclaimed)
 	}
-	after, _ := tr.Read(0, 100, EpochMax)
+	after, _ := mustRead(t, tr, 0, 100, EpochMax)
 	if !bytes.Equal(before, after) {
 		t.Fatal("aggregation changed visible data")
 	}
@@ -99,11 +110,11 @@ func TestExtentAggregatePreservesNewer(t *testing.T) {
 	tr.Insert(0, 1, []byte("aaaa"))
 	tr.Insert(0, 10, []byte("ZZ")) // newer than the aggregation epoch
 	tr.Aggregate(5)
-	got, _ := tr.Read(0, 4, EpochMax)
+	got, _ := mustRead(t, tr, 0, 4, EpochMax)
 	if string(got) != "ZZaa" {
 		t.Fatalf("read = %q, want ZZaa", got)
 	}
-	got, _ = tr.Read(0, 4, 5)
+	got, _ = mustRead(t, tr, 0, 4, 5)
 	if string(got) != "aaaa" {
 		t.Fatalf("epoch-5 read = %q, want aaaa", got)
 	}
@@ -117,7 +128,7 @@ func TestExtentAggregateWithHoles(t *testing.T) {
 	if tr.Len() != 2 {
 		t.Fatalf("aggregate merged across a hole: %d extents", tr.Len())
 	}
-	got, _ := tr.Read(0, 12, EpochMax)
+	got, _ := mustRead(t, tr, 0, 12, EpochMax)
 	want := make([]byte, 12)
 	copy(want, "aa")
 	copy(want[10:], "bb")
@@ -150,7 +161,7 @@ func TestExtentMatchesReferenceBuffer(t *testing.T) {
 				maxEnd = off + int64(l)
 			}
 		}
-		got, _ := tr.Read(0, space, EpochMax)
+		got, _ := mustRead(t, tr, 0, space, EpochMax)
 		if !bytes.Equal(got, ref) {
 			return false
 		}
@@ -158,7 +169,7 @@ func TestExtentMatchesReferenceBuffer(t *testing.T) {
 			return false
 		}
 		tr.Aggregate(EpochMax)
-		got, _ = tr.Read(0, space, EpochMax)
+		got, _ = mustRead(t, tr, 0, space, EpochMax)
 		return bytes.Equal(got, ref)
 	}
 	cfg := &quick.Config{MaxCount: 40}
@@ -167,38 +178,89 @@ func TestExtentMatchesReferenceBuffer(t *testing.T) {
 	}
 }
 
-// FuzzReadIntoMatchesRead pins the zero-copy contract: for any write
-// sequence and any read window, ReadInto fills the caller's buffer with
-// exactly the bytes the allocating Read returns (holes as zeros, even over a
-// dirty reused buffer), reports the identical covered prefix, and a nil
-// destination reports that same prefix while writing nothing.
+// FuzzReadIntoMatchesRead pins the zero-copy contract over mixed byte and
+// geometry-only extents: for any write sequence and any read window,
+// ReadInto fills the caller's buffer with exactly the bytes the allocating
+// Read returns (holes as zeros, even over a dirty reused buffer) and reports
+// the identical covered prefix; both fail with ErrGeometryOnly exactly when
+// a visible byte of the window belongs to a geometry-only extent; and a nil
+// destination never fails and reports the covered prefix the same writes
+// would have with bytes. All of it holds again after aggregation. Each write
+// is four fuzz bytes: offset (two), length, and fill, where a fill with the
+// high bit set makes the write geometry-only.
 func FuzzReadIntoMatchesRead(f *testing.F) {
 	f.Add([]byte{0, 0, 8, 'a', 1, 0, 4, 'b'}, uint16(0), uint16(16))
 	f.Add([]byte{0, 64, 32, 'x'}, uint16(60), uint16(100))
 	f.Add([]byte{}, uint16(5), uint16(9))
+	f.Add([]byte{0, 0, 16, 0x80, 0, 64, 4, 'c'}, uint16(0), uint16(16)) // byte extent shadowing part of a geometry one
+	f.Add([]byte{0, 0, 16, 0x80, 0, 0, 16, 'd'}, uint16(0), uint16(16)) // fully shadowed geometry reads as bytes
+	f.Add([]byte{0, 0, 16, 'e', 0, 32, 4, 0xff}, uint16(0), uint16(16)) // geometry over bytes
 	f.Fuzz(func(t *testing.T, writes []byte, offRaw, lenRaw uint16) {
 		const space = 1 << 12
 		tr := NewExtentTree()
+		// The reference: one owner per byte, later writes winning (epochs
+		// rise with write order). 0 is a hole, 1 a byte, 2 geometry only.
+		var owner [2 * space]byte
+		var ref [2 * space]byte
 		for i := 0; i+3 < len(writes); i += 4 {
 			off := int64(writes[i])<<4 | int64(writes[i+1])>>4
 			l := int(writes[i+2]%64) + 1
-			tr.Insert(off, Epoch(i/4+1), bytes.Repeat([]byte{writes[i+3]}, l))
+			fill := writes[i+3]
+			var src []byte
+			kind := byte(2)
+			if fill < 0x80 {
+				src, kind = bytes.Repeat([]byte{fill}, l), 1
+			}
+			tr.InsertFrom(src, off, l, Epoch(i/4+1))
+			for b := off; b < off+int64(l); b++ {
+				owner[b], ref[b] = kind, fill
+			}
 		}
 		off := int64(offRaw % space)
 		length := int(lenRaw%512) + 1
+		window := owner[off : off+int64(length)]
+		wantErr := bytes.IndexByte(window, 2) >= 0
+		var wantCovered int64
+		for wantCovered < int64(length) && window[wantCovered] != 0 {
+			wantCovered++
+		}
+		want := bytes.Clone(ref[off : off+int64(length)])
+		for i, k := range window {
+			if k == 0 {
+				want[i] = 0
+			}
+		}
 
-		want, wantCovered := tr.Read(off, length, EpochMax)
-		dst := bytes.Repeat([]byte{0xee}, length) // dirty, as a reused buffer would be
-		gotCovered := tr.ReadInto(dst, off, length, EpochMax)
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("ReadInto([%d,%d)) = %v, Read = %v", off, off+int64(length), dst, want)
+		check := func(stage string) {
+			got, covered, err := tr.Read(off, length, EpochMax)
+			if wantErr != errors.Is(err, ErrGeometryOnly) || (err != nil && !wantErr) {
+				t.Fatalf("%s: Read([%d,%d)) err = %v, want geometry error %v", stage, off, off+int64(length), err, wantErr)
+			}
+			if covered != wantCovered {
+				t.Fatalf("%s: Read covered = %d, want %d", stage, covered, wantCovered)
+			}
+			if err == nil && !bytes.Equal(got, want) {
+				t.Fatalf("%s: Read([%d,%d)) = %v, want %v", stage, off, off+int64(length), got, want)
+			}
+			dst := bytes.Repeat([]byte{0xee}, length) // dirty, as a reused buffer would be
+			covered, err = tr.ReadInto(dst, off, length, EpochMax)
+			if wantErr != errors.Is(err, ErrGeometryOnly) || (err != nil && !wantErr) {
+				t.Fatalf("%s: ReadInto err = %v, want geometry error %v", stage, err, wantErr)
+			}
+			if covered != wantCovered {
+				t.Fatalf("%s: ReadInto covered = %d, want %d", stage, covered, wantCovered)
+			}
+			if err == nil && !bytes.Equal(dst, want) {
+				t.Fatalf("%s: ReadInto([%d,%d)) = %v, want %v", stage, off, off+int64(length), dst, want)
+			}
+			covered, err = tr.ReadInto(nil, off, length, EpochMax)
+			if err != nil || covered != wantCovered {
+				t.Fatalf("%s: discard ReadInto = %d, %v; want %d, nil", stage, covered, err, wantCovered)
+			}
 		}
-		if gotCovered != wantCovered {
-			t.Fatalf("ReadInto covered = %d, Read covered = %d", gotCovered, wantCovered)
-		}
-		if discard := tr.ReadInto(nil, off, length, EpochMax); discard != wantCovered {
-			t.Fatalf("discard ReadInto covered = %d, want %d", discard, wantCovered)
-		}
+		check("before aggregation")
+		tr.Aggregate(EpochMax)
+		check("after aggregation")
 	})
 }
 
@@ -207,7 +269,7 @@ func TestExtentInsertCopiesData(t *testing.T) {
 	buf := []byte("orig")
 	tr.Insert(0, 1, buf)
 	buf[0] = 'X'
-	got, _ := tr.Read(0, 4, EpochMax)
+	got, _ := mustRead(t, tr, 0, 4, EpochMax)
 	if string(got) != "orig" {
 		t.Fatal("extent aliased caller's buffer")
 	}
@@ -218,5 +280,75 @@ func TestExtentEmptyInsertIgnored(t *testing.T) {
 	tr.Insert(0, 1, nil)
 	if tr.Len() != 0 || tr.Size() != 0 {
 		t.Fatal("empty insert stored an extent")
+	}
+}
+
+func TestExtentGeometryOnlyReadFailsLoudly(t *testing.T) {
+	tr := NewExtentTree()
+	tr.InsertFrom(nil, 0, 64, 1)
+	if tr.Size() != 64 || tr.VisibleSize(EpochMax) != 64 {
+		t.Fatalf("size = %d/%d, want 64", tr.Size(), tr.VisibleSize(EpochMax))
+	}
+	if _, _, err := tr.Read(8, 8, EpochMax); !errors.Is(err, ErrGeometryOnly) {
+		t.Fatalf("Read over geometry-only bytes: err = %v, want ErrGeometryOnly", err)
+	}
+	if _, err := tr.ReadInto(make([]byte, 8), 60, 8, EpochMax); !errors.Is(err, ErrGeometryOnly) {
+		t.Fatalf("ReadInto straddling geometry-only bytes: err = %v, want ErrGeometryOnly", err)
+	}
+	if covered, err := tr.ReadInto(nil, 60, 8, EpochMax); err != nil || covered != 4 {
+		t.Fatalf("discard ReadInto = %d, %v; want 4, nil", covered, err)
+	}
+	// Bytes written over the geometry read back; the rest still fails.
+	tr.Insert(0, 2, []byte("abcd"))
+	if got, _ := mustRead(t, tr, 0, 4, EpochMax); string(got) != "abcd" {
+		t.Fatalf("read = %q, want abcd", got)
+	}
+	if _, _, err := tr.Read(0, 5, EpochMax); !errors.Is(err, ErrGeometryOnly) {
+		t.Fatalf("Read one byte past the overwrite: err = %v, want ErrGeometryOnly", err)
+	}
+}
+
+func TestExtentAggregateGeometryOnly(t *testing.T) {
+	tr := NewExtentTree()
+	tr.InsertFrom(nil, 0, 100, 1)
+	tr.InsertFrom(nil, 50, 100, 2) // overlaps: 50 bytes of epoch 1 shadowed
+	tr.InsertFrom(nil, 150, 50, 3) // abuts: merges into one run
+	tr.InsertFrom(nil, 300, 10, 4) // past a hole: its own run
+	if reclaimed := tr.Aggregate(EpochMax); reclaimed != 50 {
+		t.Fatalf("reclaimed = %d, want 50", reclaimed)
+	}
+	want := []Extent{{Offset: 0, Length: 200, Epoch: EpochMax}, {Offset: 300, Length: 10, Epoch: EpochMax}}
+	got := tr.Extents()
+	if len(got) != len(want) {
+		t.Fatalf("extents = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i].Offset != want[i].Offset || got[i].Length != want[i].Length || got[i].Data != nil {
+			t.Fatalf("extent %d = %+v, want geometry-only %+v", i, got[i], want[i])
+		}
+	}
+	if covered, err := tr.ReadInto(nil, 0, 310, EpochMax); err != nil || covered != 200 {
+		t.Fatalf("discard ReadInto = %d, %v; want 200, nil", covered, err)
+	}
+}
+
+func TestExtentAggregateMixedRuns(t *testing.T) {
+	tr := NewExtentTree()
+	tr.Insert(0, 1, []byte("aaaaaaaa"))
+	tr.InsertFrom(nil, 2, 4, 2) // geometry in the middle of the bytes
+	tr.Insert(4, 3, []byte("BB"))
+	tr.Aggregate(EpochMax)
+	// Runs split only where the kind changes: aa | geometry | BBaa.
+	if tr.Len() != 3 {
+		t.Fatalf("extents after aggregate = %+v, want 3 runs", tr.Extents())
+	}
+	if got, _ := mustRead(t, tr, 0, 2, EpochMax); string(got) != "aa" {
+		t.Fatalf("read [0,2) = %q", got)
+	}
+	if got, _ := mustRead(t, tr, 4, 4, EpochMax); string(got) != "BBaa" {
+		t.Fatalf("read [4,8) = %q", got)
+	}
+	if _, _, err := tr.Read(0, 8, EpochMax); !errors.Is(err, ErrGeometryOnly) {
+		t.Fatalf("read over the geometry run: err = %v, want ErrGeometryOnly", err)
 	}
 }

@@ -171,9 +171,11 @@ func (c *Container) FetchSingle(oid ObjectID, dk, ak []byte, epoch Epoch) ([]byt
 	return append([]byte(nil), best.value...), nil
 }
 
-// UpdateArray writes data into an array akey at the byte offset. It returns
-// true when the object shard was created by this update.
-func (c *Container) UpdateArray(oid ObjectID, dk, ak []byte, epoch Epoch, offset int64, data []byte) bool {
+// UpdateArray writes length bytes from src into an array akey at the byte
+// offset (len(src) == length). A nil src records the write's geometry only
+// (see ExtentTree.InsertFrom). It returns true when the object shard was
+// created by this update.
+func (c *Container) UpdateArray(oid ObjectID, dk, ak []byte, epoch Epoch, offset int64, length int, src []byte) bool {
 	obj, created := c.getObject(oid, true)
 	a := obj.getDkey(dk, true).getAkey(ak, true)
 	if a.kind == kindSingle {
@@ -183,14 +185,15 @@ func (c *Container) UpdateArray(oid ObjectID, dk, ak []byte, epoch Epoch, offset
 		a.kind = kindArray
 		a.extents = NewExtentTree()
 	}
-	a.extents.Insert(offset, epoch, data)
-	c.UsedBytes += int64(len(data))
+	a.extents.InsertFrom(src, offset, length, epoch)
+	c.UsedBytes += int64(length)
 	c.noteEpoch(epoch)
 	return created
 }
 
 // FetchArray reads length bytes at offset visible at epoch. Holes read as
-// zeros; a fully-absent akey returns ErrNotFound.
+// zeros; a fully-absent akey returns ErrNotFound, and a visible
+// geometry-only byte ErrGeometryOnly.
 func (c *Container) FetchArray(oid ObjectID, dk, ak []byte, epoch Epoch, offset int64, length int) ([]byte, error) {
 	a, err := c.lookupAkey(oid, dk, ak, epoch)
 	if err != nil {
@@ -199,15 +202,16 @@ func (c *Container) FetchArray(oid ObjectID, dk, ak []byte, epoch Epoch, offset 
 	if a.kind != kindArray {
 		return nil, fmt.Errorf("%w: akey %q is not an array", ErrNotFound, ak)
 	}
-	buf, _ := a.extents.Read(offset, length, epoch)
-	return buf, nil
+	buf, _, err := a.extents.Read(offset, length, epoch)
+	return buf, err
 }
 
 // FetchArrayInto reads length bytes at offset visible at epoch into dst,
 // which must be length bytes long (holes read as zeros; every byte of dst is
 // written). A nil dst performs the identical lookup and visibility walk
 // without materializing bytes — absence semantics (ErrNotFound, ErrPunched)
-// are exactly FetchArray's either way.
+// are exactly FetchArray's either way, and only a materializing read can
+// fail with ErrGeometryOnly.
 func (c *Container) FetchArrayInto(oid ObjectID, dk, ak []byte, epoch Epoch, offset int64, length int, dst []byte) error {
 	a, err := c.lookupAkey(oid, dk, ak, epoch)
 	if err != nil {
@@ -216,8 +220,8 @@ func (c *Container) FetchArrayInto(oid ObjectID, dk, ak []byte, epoch Epoch, off
 	if a.kind != kindArray {
 		return fmt.Errorf("%w: akey %q is not an array", ErrNotFound, ak)
 	}
-	a.extents.ReadInto(dst, offset, length, epoch)
-	return nil
+	_, err = a.extents.ReadInto(dst, offset, length, epoch)
+	return err
 }
 
 // ArraySize returns the akey's visible high-water mark at epoch, or 0 when

@@ -45,8 +45,8 @@ func TestFetchMissing(t *testing.T) {
 func TestArrayRoundTrip(t *testing.T) {
 	c := NewContainer("c0")
 	data := bytes.Repeat([]byte("x"), 1024)
-	c.UpdateArray(testOID, []byte("dk"), []byte("data"), 1, 0, data)
-	c.UpdateArray(testOID, []byte("dk"), []byte("data"), 2, 1024, data)
+	c.UpdateArray(testOID, []byte("dk"), []byte("data"), 1, 0, len(data), data)
+	c.UpdateArray(testOID, []byte("dk"), []byte("data"), 2, 1024, len(data), data)
 	got, err := c.FetchArray(testOID, []byte("dk"), []byte("data"), EpochMax, 512, 1024)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestMixedKindPanics(t *testing.T) {
 			t.Error("array update on single akey did not panic")
 		}
 	}()
-	c.UpdateArray(testOID, []byte("dk"), []byte("ak"), 2, 0, []byte("x"))
+	c.UpdateArray(testOID, []byte("dk"), []byte("ak"), 2, 0, 1, []byte("x"))
 }
 
 func TestPunchObject(t *testing.T) {
@@ -157,7 +157,7 @@ func TestListObjects(t *testing.T) {
 func TestContainerAggregate(t *testing.T) {
 	c := NewContainer("c0")
 	for e := Epoch(1); e <= 4; e++ {
-		c.UpdateArray(testOID, []byte("dk"), []byte("data"), e, 0, bytes.Repeat([]byte{byte(e)}, 100))
+		c.UpdateArray(testOID, []byte("dk"), []byte("data"), e, 0, 100, bytes.Repeat([]byte{byte(e)}, 100))
 	}
 	used := c.UsedBytes
 	if used != 400 {
@@ -179,7 +179,7 @@ func TestContainerAggregate(t *testing.T) {
 func TestMaxEpochTracking(t *testing.T) {
 	c := NewContainer("c0")
 	c.UpdateSingle(testOID, []byte("dk"), []byte("ak"), 7, []byte("v"))
-	c.UpdateArray(testOID, []byte("dk"), []byte("arr"), 9, 0, []byte("x"))
+	c.UpdateArray(testOID, []byte("dk"), []byte("arr"), 9, 0, 1, []byte("x"))
 	if c.MaxEpoch() != 9 {
 		t.Fatalf("MaxEpoch = %d, want 9", c.MaxEpoch())
 	}
@@ -193,7 +193,7 @@ func TestManyObjectsManyDkeys(t *testing.T) {
 		for d := 0; d < 20; d++ {
 			dk := []byte(fmt.Sprintf("dkey.%04d", d))
 			c.UpdateSingle(oid, dk, []byte("meta"), 1, []byte{byte(o), byte(d)})
-			c.UpdateArray(oid, dk, []byte("data"), 1, int64(d)*10, bytes.Repeat([]byte{byte(o)}, 10))
+			c.UpdateArray(oid, dk, []byte("data"), 1, int64(d)*10, 10, bytes.Repeat([]byte{byte(o)}, 10))
 		}
 	}
 	for o := 0; o < 50; o++ {
