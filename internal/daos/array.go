@@ -72,6 +72,9 @@ func (a *Array) WriteFrom(p *sim.Proc, off int64, n int64, src []byte) error {
 	if n <= 0 {
 		return nil
 	}
+	if off < 0 {
+		return fmt.Errorf("daos: array write at negative offset %d", off)
+	}
 	if src != nil && int64(len(src)) != n {
 		return fmt.Errorf("daos: array write from %d-byte buffer, want %d", len(src), n)
 	}
@@ -101,6 +104,9 @@ func (a *Array) WriteFrom(p *sim.Proc, off int64, n int64, src []byte) error {
 func (a *Array) ReadAtInto(p *sim.Proc, off int64, n int64, epoch vos.Epoch, dst []byte) error {
 	if n <= 0 {
 		return nil
+	}
+	if off < 0 {
+		return fmt.Errorf("daos: array read at negative offset %d", off)
 	}
 	if dst != nil && int64(len(dst)) != n {
 		return fmt.Errorf("daos: array read into %d-byte buffer, want %d", len(dst), n)

@@ -277,6 +277,20 @@ func TestArrayOverwrite(t *testing.T) {
 	})
 }
 
+// Chunk dkeys encode non-negative chunk indices only, so negative array
+// offsets are refused before any span is built.
+func TestArrayNegativeOffsetRejected(t *testing.T) {
+	withContainer(t, placement.S2, func(p *sim.Proc, tb *cluster.Testbed, ct *daos.Container) {
+		arr, _ := ct.OpenArray(p, ct.AllocOID(placement.S2))
+		if err := arr.WriteFrom(p, -(2 << 20), 1, nil); err == nil {
+			t.Error("write at a negative offset succeeded")
+		}
+		if err := arr.ReadAtInto(p, -1, 1, 0, nil); err == nil {
+			t.Error("read at a negative offset succeeded")
+		}
+	})
+}
+
 func TestSXLayoutSpansAllTargets(t *testing.T) {
 	withContainer(t, placement.SX, func(p *sim.Proc, tb *cluster.Testbed, ct *daos.Container) {
 		obj, err := ct.OpenObject(p, ct.AllocOID(placement.SX))

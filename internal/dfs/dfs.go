@@ -12,7 +12,6 @@ package dfs
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"path"
@@ -20,6 +19,7 @@ import (
 
 	"daosim/internal/daos"
 	"daosim/internal/engine"
+	"daosim/internal/gobcodec"
 	"daosim/internal/placement"
 	"daosim/internal/sim"
 	"daosim/internal/vos"
@@ -69,6 +69,14 @@ var (
 	entryAkey = []byte("entry")
 )
 
+// The gob encodings of entries and superblocks. Their length is the
+// single value's size on the wire and on the media, so they stay gob's
+// exact bytes.
+var (
+	entryCodec gobcodec.Codec[entry]
+	sbCodec    gobcodec.Codec[superblock]
+)
+
 // rootOID is the well-known root directory object (metadata class S1).
 var rootOID = placement.EncodeOID(placement.S1, 0, 1)
 
@@ -77,7 +85,7 @@ type FS struct {
 	cont *daos.Container
 	sb   superblock
 	root *daos.Object
-	// Lookups counts directory entry fetch RPz (observability for the
+	// Lookups counts directory entry fetch RPCs (observability for the
 	// metadata-path benchmarks).
 	Lookups int64
 }
@@ -103,14 +111,18 @@ func Mount(p *sim.Proc, ct *daos.Container) (*FS, error) {
 			Chunk:   ct.Props.ChunkSize,
 			Class:   ct.Props.Class,
 		}
+		raw, err := sbCodec.Encode(fs.sb)
+		if err != nil {
+			return nil, fmt.Errorf("dfs: format: %w", err)
+		}
 		if err := root.Update(p, []engine.WriteExt{{
-			Dkey: sbDkey, Akey: entryAkey, Data: encode(fs.sb), Single: true,
+			Dkey: sbDkey, Akey: entryAkey, Data: raw, Single: true,
 		}}); err != nil {
 			return nil, fmt.Errorf("dfs: format: %w", err)
 		}
 		return fs, nil
 	}
-	if err := decode(raw[0], &fs.sb); err != nil || fs.sb.Magic != sbMagic {
+	if fs.sb, err = sbCodec.Decode(raw[0]); err != nil || fs.sb.Magic != sbMagic {
 		return nil, ErrBadMount
 	}
 	return fs, nil
@@ -121,18 +133,6 @@ func (fs *FS) Chunk() int64 { return fs.sb.Chunk }
 
 // Class returns the filesystem's default object class for files.
 func (fs *FS) Class() placement.ClassID { return fs.sb.Class }
-
-func encode(v interface{}) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic("dfs: encode: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-func decode(raw []byte, v interface{}) error {
-	return gob.NewDecoder(bytes.NewReader(raw)).Decode(v)
-}
 
 // splitPath normalizes and splits an absolute path into components.
 func splitPath(p string) ([]string, error) {
@@ -180,8 +180,8 @@ func (fs *FS) fetchEntry(p *sim.Proc, dir *daos.Object, name string) (entry, err
 	if raw[0] == nil {
 		return entry{}, fmt.Errorf("%w: %s", ErrNotExist, name)
 	}
-	var ent entry
-	if err := decode(raw[0], &ent); err != nil {
+	ent, err := entryCodec.Decode(raw[0])
+	if err != nil {
 		return entry{}, fmt.Errorf("dfs: corrupt entry %q: %v", name, err)
 	}
 	return ent, nil
@@ -189,8 +189,12 @@ func (fs *FS) fetchEntry(p *sim.Proc, dir *daos.Object, name string) (entry, err
 
 // storeEntry writes one directory record.
 func (fs *FS) storeEntry(p *sim.Proc, dir *daos.Object, name string, ent entry) error {
+	raw, err := entryCodec.Encode(ent)
+	if err != nil {
+		return fmt.Errorf("dfs: encode entry %q: %w", name, err)
+	}
 	return dir.Update(p, []engine.WriteExt{{
-		Dkey: []byte(name), Akey: entryAkey, Data: encode(ent), Single: true,
+		Dkey: []byte(name), Akey: entryAkey, Data: raw, Single: true,
 	}})
 }
 

@@ -21,6 +21,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"daosim/internal/fabric"
@@ -610,19 +611,47 @@ func (e *Engine) handleAggregate(p *sim.Proc, r *AggregateReq) fabric.Response {
 	return fabric.Response{Body: &AggregateResp{Reclaimed: reclaimed}, Size: 64}
 }
 
+// chunkPrefix starts every chunk dkey; 16 lowercase hex digits follow.
+const chunkPrefix = "chunk."
+
+// chunkDkeyLen is the length of every chunk dkey.
+const chunkDkeyLen = len(chunkPrefix) + 16
+
 // ChunkDkey encodes a chunk index as the dkey of a striped array object
-// (the DFS file layout: one dkey per chunk).
+// (the DFS file layout: one dkey per chunk): "chunk." and the index as 16
+// zero-padded lowercase hex digits, fmt's "chunk.%016x". Chunk indices are
+// never negative (daos.Array rejects negative offsets).
 func ChunkDkey(idx int64) []byte {
-	return []byte(fmt.Sprintf("chunk.%016x", idx))
+	const hex = "0123456789abcdef"
+	dk := make([]byte, chunkDkeyLen)
+	copy(dk, chunkPrefix)
+	for i, u := chunkDkeyLen-1, uint64(idx); i >= len(chunkPrefix); i, u = i-1, u>>4 {
+		dk[i] = hex[u&0xf]
+	}
+	return dk
 }
 
-// DecodeChunkDkey parses a chunk dkey back to its index.
+// DecodeChunkDkey parses a chunk dkey back to its index. It accepts
+// exactly the dkeys ChunkDkey produces for idx >= 0.
 func DecodeChunkDkey(dk []byte) (int64, bool) {
-	var idx int64
-	if n, err := fmt.Sscanf(string(dk), "chunk.%016x", &idx); n != 1 || err != nil {
+	if len(dk) != chunkDkeyLen || string(dk[:len(chunkPrefix)]) != chunkPrefix {
 		return 0, false
 	}
-	return idx, true
+	var u uint64
+	for _, c := range dk[len(chunkPrefix):] {
+		switch {
+		case '0' <= c && c <= '9':
+			u = u<<4 | uint64(c-'0')
+		case 'a' <= c && c <= 'f':
+			u = u<<4 | uint64(c-'a'+10)
+		default:
+			return 0, false
+		}
+	}
+	if u > math.MaxInt64 {
+		return 0, false
+	}
+	return int64(u), true
 }
 
 // NumContainers reports how many distinct containers hold data on this

@@ -264,18 +264,6 @@ func TestAggregateReclaimsMedia(t *testing.T) {
 	}
 }
 
-func TestChunkDkeyRoundTrip(t *testing.T) {
-	for _, idx := range []int64{0, 1, 255, 1 << 40} {
-		got, ok := DecodeChunkDkey(ChunkDkey(idx))
-		if !ok || got != idx {
-			t.Fatalf("round trip %d -> %d (%v)", idx, got, ok)
-		}
-	}
-	if _, ok := DecodeChunkDkey([]byte("not-a-chunk")); ok {
-		t.Fatal("garbage dkey decoded")
-	}
-}
-
 func TestCountersAndStats(t *testing.T) {
 	r := newRig()
 	r.call(t, &UpdateReq{

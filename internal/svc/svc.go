@@ -2,19 +2,21 @@
 // metadata store (pools, containers, attributes) that DAOS keeps in a
 // Raft-replicated state machine hosted on a subset of the engines.
 //
-// Commands and snapshots are gob-encoded; replicas communicate over the
-// cluster fabric, and clients reach the service through a fabric RPC that
-// transparently follows leader redirects.
+// Commands and snapshots are gob's exact bytes, encoded through one primed
+// codec per type: their length is charged to the fabric (the RPC size) and
+// to Raft (AppendEntries and snapshot sizes), so the encoding must not
+// change. Replicas communicate over the cluster fabric, and clients reach
+// the service through a fabric RPC that transparently follows leader
+// redirects.
 package svc
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"time"
 
 	"daosim/internal/fabric"
+	"daosim/internal/gobcodec"
 	"daosim/internal/raft"
 	"daosim/internal/sim"
 )
@@ -83,6 +85,13 @@ type State struct {
 	Seq   uint64 // deterministic UUID source
 }
 
+// The encodings of commands (the Raft log entries and the RPC payload) and
+// of snapshots.
+var (
+	commandCodec gobcodec.Codec[Command]
+	stateCodec   gobcodec.Codec[State]
+)
+
 // NewState returns an empty state machine.
 func NewState() *State { return &State{Pools: make(map[string]*PoolInfo)} }
 
@@ -93,8 +102,8 @@ func (st *State) nextUUID(kind string) string {
 
 // Apply implements raft.StateMachine.
 func (st *State) Apply(index uint64, cmd []byte) interface{} {
-	var c Command
-	if err := gob.NewDecoder(bytes.NewReader(cmd)).Decode(&c); err != nil {
+	c, err := commandCodec.Decode(cmd)
+	if err != nil {
 		return Result{Err: "svc: bad command: " + err.Error()}
 	}
 	return st.apply(c)
@@ -183,17 +192,17 @@ func (st *State) apply(c Command) Result {
 
 // Snapshot implements raft.StateMachine.
 func (st *State) Snapshot() []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+	snap, err := stateCodec.Encode(*st)
+	if err != nil {
 		panic("svc: snapshot encode: " + err.Error())
 	}
-	return buf.Bytes()
+	return snap
 }
 
 // Restore implements raft.StateMachine.
 func (st *State) Restore(snap []byte) {
-	var next State
-	if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&next); err != nil {
+	next, err := stateCodec.Decode(snap)
+	if err != nil {
 		panic("svc: snapshot decode: " + err.Error())
 	}
 	if next.Pools == nil {
@@ -352,7 +361,7 @@ func (s *Service) NumReplicas() int { return len(s.replicas) }
 // Kill crashes replica i (failure injection).
 func (s *Service) Kill(i int) { s.replicas[i].Kill() }
 
-// Restartreplica recovers replica i.
+// Restart recovers replica i.
 func (s *Service) Restart(i int) { s.replicas[i].Restart() }
 
 // Client executes pool service commands from a client fabric node,
@@ -371,11 +380,10 @@ func NewClient(s *Service, src *fabric.Node) *Client {
 // Execute runs one command, retrying across replicas until the leader
 // accepts it or the attempt budget is exhausted.
 func (c *Client) Execute(p *sim.Proc, cmd Command) (Result, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(cmd); err != nil {
+	payload, err := commandCodec.Encode(cmd)
+	if err != nil {
 		return Result{}, fmt.Errorf("svc: encode: %w", err)
 	}
-	payload := buf.Bytes()
 	attempts := 0
 	replica := c.leader
 	deadline := p.Now() + 30*time.Second // election storms resolve well within this
