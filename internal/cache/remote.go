@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"daosim/internal/backoff"
 )
 
 // TierPathPrefix is the URL path under which a daosd serves its cache as a
@@ -107,11 +109,9 @@ func (t *remoteTier) markDown() {
 	defer t.mu.Unlock()
 	t.probing = false
 	if t.backoff == 0 {
-		t.backoff = t.probeBase
 		t.downs++
-	} else if t.backoff *= 2; t.backoff > t.probeMax {
-		t.backoff = t.probeMax
 	}
+	t.backoff = backoff.Next(t.backoff, t.probeBase, t.probeMax)
 	t.downUntil = time.Now().Add(t.backoff)
 }
 

@@ -14,6 +14,7 @@ import (
 	"syscall"
 	"time"
 
+	"daosim/internal/backoff"
 	"daosim/internal/core"
 )
 
@@ -280,11 +281,11 @@ func (c *Client) backoff(n int) time.Duration {
 	if maxWait <= 0 {
 		maxWait = DefaultRetryMax
 	}
-	wait := base
-	for i := 1; i < n && wait < maxWait; i++ {
-		wait *= 2
+	wait := backoff.Next(0, base, maxWait)
+	for i := 1; i < n; i++ {
+		wait = backoff.Next(wait, base, maxWait)
 	}
-	return min(wait, maxWait)
+	return wait
 }
 
 // shouldRetry decides whether a failed Submit exchange is worth another

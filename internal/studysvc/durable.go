@@ -1,6 +1,7 @@
 package studysvc
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -15,82 +16,218 @@ import (
 	"daosim/internal/jobstore"
 )
 
-// This file is the durable half of the scheduler: batch submissions
-// that survive a daosd crash and streams that re-attach mid-flight.
-// It engages only when Config.Store is set; the storeless path in
-// studysvc.go is untouched.
+// This file is the batch half of the scheduler: every submission is a
+// batchState, and one delivery path and one serve path carry all three
+// entry points (POST /v1/studies with and without a job store, POST
+// /v1/points, and GET /v1/studies/{batch}?from=seq).
 //
-// A durable batch's lifecycle: handleSubmit journals the submission and
-// opens a batchState; an enqueue goroutine schedules its jobs under the
-// server's lifetime context (not the request's — the client may come
-// and go); a collector goroutine drains results, assigns each point its
-// delivery sequence number, journals it, and appends it to the replay
-// log; any number of stream attachments (the original POST, or GET
-// resume legs) serve the replay log from an offset and then follow live
-// deliveries. When the trailer has been delivered to some client, the
-// batch retires: a done record hits the journal and the state is
-// dropped. A batch interrupted by a crash is rebuilt from the journal
-// on startup — completed points pre-populate the replay log, the rest
-// re-enqueue.
+// A batch's lifecycle: a handler opens the batch and starts an enqueue
+// goroutine that schedules its jobs; whoever produces a point (a pool
+// member, a cache hit, a coalesced replay) delivers it straight into the
+// batch, which assigns its delivery sequence number and appends it to the
+// replay log; any number of stream attachments serve the log from an
+// offset and then follow live deliveries until the trailer.
+//
+// Two attributes separate the kinds of batch. A storeless batch (no id)
+// runs under its request's context, ended by a client disconnect, and
+// keeps no journal. A journaled batch (Config.Store set, id echoed in the
+// Header) runs under the server's lifetime context — the client may come
+// and go — and appends every delivered point to the job store before the
+// point becomes visible. When its trailer has been written to some
+// client, a journaled batch retires: a done record hits the journal and
+// the state is dropped. A journaled batch interrupted by a crash is
+// rebuilt from the journal on startup — completed points pre-populate the
+// replay log, the rest re-enqueue.
 
-// batchState is one durable batch resident in memory.
+// batchState is one submission resident in memory.
 type batchState struct {
+	// id names a journaled batch; a storeless batch has none, which is
+	// also how its Header tells the client it cannot be resumed.
 	id      string
+	ctx     context.Context // the batch's lifetime; nothing is delivered once it ends
 	jobs    []core.PointJob
 	studies int
-	slot    map[[3]int]int // grid coordinates -> job position
 	start   time.Time
-
-	// results is the delivery channel shared with the scheduler,
-	// buffered to the whole batch so workers never block on it.
-	results chan StreamPoint
 	retried atomic.Int64
 
 	mu sync.Mutex
-	// delivered is the replay log: delivered[i].Seq == i+1. Appended to
-	// only by the collector; streamed by any number of attachments.
-	delivered []StreamPoint
-	// done marks job positions already delivered (or recovered), so a
-	// duplicate result — a recovered point whose in-flight twin also
-	// lands — is dropped rather than double-counted.
-	done                          []bool
-	hits, misses, errs, coalesced int
-	trailer                       *Trailer
-	retired                       bool
-	// waiters are attachment wakeups: closed and cleared on every
-	// delivery and on the trailer.
-	waiters map[chan struct{}]struct{}
+	// log is the replay log: log[i].Seq == i+1. Allocated at the batch's
+	// full size and only ever appended to, so an attachment may read the
+	// entries below a length it saw under mu without holding it.
+	log []StreamPoint
+	// done marks job positions already delivered (or recovered), so no
+	// position is ever logged twice.
+	done []bool
+	// sum is the trailer ledger, counted as points are logged; sum.Done
+	// is set once every job has been delivered.
+	sum Trailer
+	// wakes are the attachments' wakeup channels (buffered 1), signaled
+	// on every delivery.
+	wakes   []chan struct{}
+	retired bool
 }
 
-func newBatchState(id string, jobs []core.PointJob, studies int) *batchState {
+// newBatch builds an empty batch of jobs; a zero-point batch is complete
+// from the start.
+func (s *Server) newBatch(ctx context.Context, id string, jobs []core.PointJob, studies int) *batchState {
 	b := &batchState{
 		id:      id,
+		ctx:     ctx,
 		jobs:    jobs,
 		studies: studies,
-		slot:    make(map[[3]int]int, len(jobs)),
 		start:   time.Now(),
-		results: make(chan StreamPoint, len(jobs)),
+		log:     make([]StreamPoint, 0, len(jobs)),
 		done:    make([]bool, len(jobs)),
-		waiters: make(map[chan struct{}]struct{}),
 	}
-	for i, j := range jobs {
-		b.slot[[3]int{j.Study, j.Series, j.Index}] = i
-	}
+	b.sum.CacheEnabled = s.cache != nil
+	b.sealLocked()
 	return b
 }
 
-// broadcastLocked wakes every attachment waiting for the next delivery.
-func (b *batchState) broadcastLocked() {
-	for ch := range b.waiters {
-		close(ch)
-	}
-	clear(b.waiters)
+// journaled reports whether b keeps a journal: exactly the batches with
+// an id.
+func (b *batchState) journaled() bool { return b.id != "" }
+
+// isDone reports whether job position i has been delivered.
+func (b *batchState) isDone(i int) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.done[i]
 }
 
-// slotOf maps a result's grid coordinates back to its job position.
-func (b *batchState) slotOf(sp StreamPoint) (int, bool) {
-	i, ok := b.slot[[3]int{sp.Study, sp.Series, sp.Index}]
-	return i, ok
+// recordLocked appends sp to the replay log as the next seq, counts it in
+// the ledger, and wakes every attachment. It is the one place a delivered
+// point is recorded, for live deliveries and journal replay alike.
+func (b *batchState) recordLocked(sp StreamPoint) {
+	sp.Seq = len(b.log) + 1
+	b.log = append(b.log, sp)
+	if sp.CacheHit {
+		b.sum.CacheHits++
+	} else {
+		b.sum.CacheMisses++
+	}
+	if sp.Coalesced {
+		b.sum.Coalesced++
+	}
+	if sp.Err != "" {
+		b.sum.Errors++
+	}
+	b.sealLocked()
+	for _, ch := range b.wakes {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// sealLocked completes the trailer once every job has been delivered.
+func (b *batchState) sealLocked() {
+	if len(b.log) < len(b.jobs) {
+		return
+	}
+	b.sum.Done = true
+	b.sum.Points = len(b.jobs)
+	b.sum.Retries = int(b.retried.Load())
+	b.sum.ElapsedNS = int64(time.Since(b.start))
+}
+
+// deliver is the one way a point reaches a batch. It drops the point when
+// the batch's context has ended — the batch has stopped, and whatever
+// its submission's end produced is not a result — and when the position
+// was already delivered. A journaled batch appends the point to the job
+// store under the batch lock, before the point becomes visible: journal
+// order is seq order, and a point a client saw is a point a restarted
+// server still has.
+func (s *Server) deliver(t task, sp StreamPoint) {
+	b := t.b
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.ctx.Err() != nil || b.done[t.pos] {
+		return
+	}
+	b.done[t.pos] = true
+	if b.journaled() {
+		if err := s.store.AppendPoint(b.id, jobstore.PointRecord{
+			Pos:       t.pos,
+			Point:     sp.toPoint(),
+			CacheHit:  sp.CacheHit,
+			Coalesced: sp.Coalesced,
+		}); err != nil {
+			s.journalErrs.Add(1)
+		}
+	}
+	b.recordLocked(sp)
+}
+
+// serveBatch streams b's replay log from offset `from` (a seq: the
+// client has everything up to and including it) and follows live
+// deliveries through the trailer. It is the one writer of stream lines.
+// Any number of attachments can serve one batch concurrently; whichever
+// writes a journaled batch's trailer first retires the batch.
+func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, b *batchState, from int) {
+	w.Header().Set("Content-Type", ContentType)
+	w.WriteHeader(http.StatusOK)
+	enc := json.NewEncoder(w)
+	flusher, _ := w.(http.Flusher)
+	flush := func() {
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+	if err := enc.Encode(Header{Batch: b.id, Points: len(b.jobs), Studies: b.studies}); err != nil {
+		return
+	}
+	flush()
+
+	wake := make(chan struct{}, 1)
+	b.mu.Lock()
+	b.wakes = append(b.wakes, wake)
+	b.mu.Unlock()
+	defer b.detach(wake)
+	for next := max(from, 0); ; {
+		b.mu.Lock()
+		log, sum := b.log, b.sum
+		b.mu.Unlock()
+		if next < len(log) {
+			for ; next < len(log); next++ {
+				if err := enc.Encode(&log[next]); err != nil {
+					return // client gone; the batch keeps running until its context ends
+				}
+			}
+			flush()
+		}
+		if sum.Done {
+			if err := enc.Encode(&sum); err != nil {
+				return
+			}
+			flush()
+			if b.journaled() {
+				s.retireBatch(b)
+			}
+			return
+		}
+		select {
+		case <-wake:
+		case <-r.Context().Done():
+			return
+		case <-b.ctx.Done():
+			return
+		}
+	}
+}
+
+// detach unregisters an attachment's wakeup channel.
+func (b *batchState) detach(wake chan struct{}) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i, ch := range b.wakes {
+		if ch == wake {
+			b.wakes[i] = b.wakes[len(b.wakes)-1]
+			b.wakes = b.wakes[:len(b.wakes)-1]
+			return
+		}
+	}
 }
 
 // DurabilityStats is the /v1/statsz durability block of a daosd running
@@ -126,7 +263,7 @@ func newBatchID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// openBatch returns the live batchState for id, creating (and
+// openBatch returns the live journaled batch id, creating (and
 // journaling, and scheduling) it on first sight. The second return is
 // false when the id was already live — a re-POST that should re-attach,
 // not re-schedule.
@@ -137,7 +274,7 @@ func (s *Server) openBatch(id string, cfgs []core.Config) (*batchState, bool) {
 		return b, false
 	}
 	_, jobs := core.Decompose(cfgs)
-	b := newBatchState(id, jobs, len(cfgs))
+	b := s.newBatch(s.ctx, id, jobs, len(cfgs))
 	s.batches[id] = b
 	s.batchMu.Unlock()
 
@@ -146,8 +283,7 @@ func (s *Server) openBatch(id string, cfgs []core.Config) (*batchState, bool) {
 		s.journalErrs.Add(1)
 	}
 	s.journaled.Add(1)
-	go s.collect(b)
-	go s.enqueue(s.probeCtx, b.jobs, nil, &b.retried, b.results, true)
+	go s.enqueue(b)
 	return b, true
 }
 
@@ -156,153 +292,6 @@ func (s *Server) lookupBatch(id string) *batchState {
 	s.batchMu.Lock()
 	defer s.batchMu.Unlock()
 	return s.batches[id]
-}
-
-// collect is a durable batch's single result drain: it orders
-// deliveries, journals them, appends them to the replay log, and builds
-// the trailer once every job has landed. It exits early only on server
-// shutdown — a crash, after which the journal has everything collected
-// so far.
-func (s *Server) collect(b *batchState) {
-	need := len(b.jobs)
-	b.mu.Lock()
-	have := len(b.delivered)
-	b.mu.Unlock()
-	for have < need {
-		select {
-		case sp := <-b.results:
-			if s.deliver(b, sp) {
-				have++
-			}
-		case <-s.quit:
-			return
-		}
-	}
-	t := Trailer{
-		Done:         true,
-		Points:       need,
-		CacheEnabled: s.cache != nil,
-		Retries:      int(b.retried.Load()),
-	}
-	b.mu.Lock()
-	t.CacheHits = b.hits
-	t.CacheMisses = b.misses
-	t.Errors = b.errs
-	t.Coalesced = b.coalesced
-	t.ElapsedNS = int64(time.Since(b.start))
-	b.trailer = &t
-	b.broadcastLocked()
-	b.mu.Unlock()
-}
-
-// deliver journals one result and appends it to the replay log,
-// assigning its sequence number. Duplicates (possible when a recovered
-// point's original execution was still in flight at the crash) are
-// dropped. The journal write happens before the point becomes visible:
-// a point a client saw is always a point a restarted server still has.
-func (s *Server) deliver(b *batchState, sp StreamPoint) bool {
-	pos, ok := b.slotOf(sp)
-	if !ok {
-		return false
-	}
-	b.mu.Lock()
-	dup := b.done[pos]
-	if !dup {
-		b.done[pos] = true
-	}
-	b.mu.Unlock()
-	if dup {
-		return false
-	}
-	if err := s.store.AppendPoint(b.id, jobstore.PointRecord{
-		Pos:       pos,
-		Point:     sp.toPoint(),
-		CacheHit:  sp.CacheHit,
-		Coalesced: sp.Coalesced,
-	}); err != nil {
-		s.journalErrs.Add(1)
-	}
-	b.mu.Lock()
-	sp.Seq = len(b.delivered) + 1
-	b.delivered = append(b.delivered, sp)
-	if sp.CacheHit {
-		b.hits++
-	} else {
-		b.misses++
-	}
-	if sp.Coalesced {
-		b.coalesced++
-	}
-	if sp.Err != "" {
-		b.errs++
-	}
-	b.broadcastLocked()
-	b.mu.Unlock()
-	return true
-}
-
-// serveBatch streams b's replay log from offset `from` (a seq: the
-// client has everything up to and including it) and follows live
-// deliveries through the trailer. Any number of attachments can serve
-// one batch concurrently; whichever delivers the trailer first retires
-// the batch.
-func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, b *batchState, from int) {
-	ctx := r.Context()
-	w.Header().Set("Content-Type", ContentType)
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	if err := enc.Encode(Header{Batch: b.id, Points: len(b.jobs), Studies: b.studies}); err != nil {
-		return
-	}
-	flush()
-
-	next := max(from, 0)
-	for {
-		b.mu.Lock()
-		var chunk []StreamPoint
-		if next < len(b.delivered) {
-			chunk = append(chunk, b.delivered[next:]...)
-		}
-		trailer := b.trailer
-		var wake chan struct{}
-		if len(chunk) == 0 && trailer == nil {
-			wake = make(chan struct{})
-			b.waiters[wake] = struct{}{}
-		}
-		b.mu.Unlock()
-
-		if len(chunk) > 0 {
-			for _, sp := range chunk {
-				if err := enc.Encode(sp); err != nil {
-					return // client gone; the batch keeps running
-				}
-			}
-			flush()
-			next += len(chunk)
-			continue // re-check: the trailer may already be set
-		}
-		if trailer != nil {
-			if err := enc.Encode(*trailer); err != nil {
-				return
-			}
-			flush()
-			s.retireBatch(b)
-			return
-		}
-		select {
-		case <-wake:
-		case <-ctx.Done():
-			return
-		case <-s.quit:
-			return
-		}
-	}
 }
 
 // retireBatch drops a fully-delivered batch: the journal gets its done
@@ -326,13 +315,15 @@ func (s *Server) retireBatch(b *batchState) {
 
 // recoverBatches rebuilds the store's unfinished batches at startup:
 // completed points pre-populate each replay log (re-sequenced in their
-// original delivery order), and only the points that never finished are
-// re-enqueued. Runs before the server accepts connections, but the
-// re-enqueued work executes on the normal pool machinery.
+// journal order, which was their delivery order), and only the points
+// that never finished are re-enqueued. Runs before the server accepts
+// connections, but the re-enqueued work executes on the normal pool
+// machinery.
 func (s *Server) recoverBatches() {
 	for _, rb := range s.store.Recovered() {
 		_, jobs := core.Decompose(rb.Configs)
-		b := newBatchState(rb.ID, jobs, len(rb.Configs))
+		b := s.newBatch(s.ctx, rb.ID, jobs, len(rb.Configs))
+		// b is not shared yet, so its log is built without the lock.
 		for _, pr := range rb.Points {
 			if pr.Pos < 0 || pr.Pos >= len(jobs) || b.done[pr.Pos] {
 				continue
@@ -340,37 +331,22 @@ func (s *Server) recoverBatches() {
 			b.done[pr.Pos] = true
 			sp := toWire(jobs[pr.Pos], pr.Point, pr.CacheHit)
 			sp.Coalesced = pr.Coalesced
-			sp.Seq = len(b.delivered) + 1
-			b.delivered = append(b.delivered, sp)
-			if sp.CacheHit {
-				b.hits++
-			} else {
-				b.misses++
-			}
-			if sp.Coalesced {
-				b.coalesced++
-			}
-			if sp.Err != "" {
-				b.errs++
-			}
+			b.recordLocked(sp)
 		}
-		skip := append([]bool(nil), b.done...)
 		s.batchMu.Lock()
 		s.batches[rb.ID] = b
 		s.batchMu.Unlock()
 		s.recovery.RecoveredBatches++
-		s.recovery.ReplayedPoints += len(b.delivered)
-		s.recovery.ReenqueuedPoints += len(jobs) - len(b.delivered)
-		go s.collect(b)
-		go s.enqueue(s.probeCtx, b.jobs, skip, &b.retried, b.results, true)
+		s.recovery.ReplayedPoints += len(b.log)
+		s.recovery.ReenqueuedPoints += len(jobs) - len(b.log)
+		go s.enqueue(b)
 	}
 }
 
 // handleResume implements the GET resume leg: re-attach to a live batch
 // from a seq offset.
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		http.Error(w, "studysvc: server draining", http.StatusServiceUnavailable)
+	if s.draining(w) {
 		return
 	}
 	id := r.PathValue("batch")
@@ -406,17 +382,4 @@ func (s *Server) durabilityStats() *DurabilityStats {
 	d.ResumedStreams = s.resumed.Load()
 	d.JournalErrors = s.journalErrs.Load()
 	return &d
-}
-
-// kill is the crash test hook: stop the scheduler exactly as a SIGKILL
-// would be observed — no drain, no journal retirement, no fabricated
-// abandonment points — so restart/recovery tests exercise the same
-// state a dead process leaves behind. Tests call Close afterwards to
-// reap the pool goroutines.
-func (s *Server) kill() {
-	s.closeOnce.Do(func() {
-		s.draining.Store(true)
-		close(s.quit)
-		s.probeCancel()
-	})
 }

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"time"
+
+	"daosim/internal/backoff"
 )
 
 // Member is one named execution slot of the server's pool: local slots,
@@ -107,37 +109,35 @@ func probeWait(rng *rand.Rand, backoff time.Duration) time.Duration {
 // seeded RNG) until the probe succeeds or the server shuts down. While it
 // runs, the member's goroutine is not receiving from the job queue — being
 // down IS not being scheduled. Returns false when shutdown interrupted the
-// wait. Each probe's context derives from the server's probe context, so
-// Close cancels a probe already in flight instead of waiting out its
+// wait. Each probe's context derives from the server's lifetime context,
+// so Close cancels a probe already in flight instead of waiting out its
 // timeout. Workers without a Probe are readmitted after a single backoff
 // interval: with no way to check them, one quarantine period is the only
 // gate.
 func (s *Server) probeUntilUp(m *member) bool {
 	m.down.Store(true)
-	backoff := s.cfg.ProbeBase
+	wait := backoff.Next(0, s.cfg.ProbeBase, s.cfg.ProbeMax)
 	for {
 		select {
-		case <-s.quit:
+		case <-s.ctx.Done():
 			return false
-		case <-time.After(probeWait(m.rng, backoff)):
+		case <-time.After(probeWait(m.rng, wait)):
 		}
 		prober, ok := m.w.(Prober)
 		if !ok {
 			break
 		}
 		m.probes.Add(1)
-		ctx, cancel := context.WithTimeout(s.probeCtx, probeTimeout)
+		ctx, cancel := context.WithTimeout(s.ctx, probeTimeout)
 		err := prober.Probe(ctx)
 		cancel()
 		if err == nil {
 			break
 		}
-		if s.probeCtx.Err() != nil {
+		if s.ctx.Err() != nil {
 			return false
 		}
-		if backoff *= 2; backoff > s.cfg.ProbeMax {
-			backoff = s.cfg.ProbeMax
-		}
+		wait = backoff.Next(wait, s.cfg.ProbeBase, s.cfg.ProbeMax)
 	}
 	m.readmissions.Add(1)
 	m.down.Store(false)

@@ -20,12 +20,16 @@
 //
 // All submissions share one job queue drained by the pool members (the
 // shard width), so concurrent clients compete fairly for simulation
-// capacity and the process never exceeds its concurrency bound. Per-request
-// result channels are buffered to the full batch size: a worker can always
-// deliver without blocking, which means one slow or vanished client cannot
-// wedge the pool. When a client disconnects mid-stream its remaining queued
-// jobs are skipped (their contexts are canceled) and in-flight points
-// finish and are discarded.
+// capacity and the process never exceeds its concurrency bound. Every
+// submission — a storeless or journaled PathSubmit batch, or a
+// PathSubmitPoints job list — is one batch (see durable.go) served by one
+// pipeline: a completed point is delivered by appending it to the batch's
+// replay log, and each stream attached to the batch follows that log. A
+// delivery never waits on a client, so one slow or vanished client cannot
+// wedge the pool. A batch lives as long as its context: a storeless
+// submission's ends when its client disconnects, and every batch's ends
+// when the server stops. From then on the batch's queued jobs are skipped
+// and its in-flight points finish and are discarded.
 //
 // # The worker fleet
 //
@@ -83,12 +87,17 @@
 // # Durable submissions
 //
 // With Config.Store set (daosd -store-dir), PathSubmit batches are
-// journaled and their streams resumable: jobs run under the server's
-// lifetime rather than the request's, completed points are appended to
-// the job store before they are streamed, and a client that lost its
-// connection — or whose server was kill -9ed and restarted — re-attaches
-// with GET /v1/studies/{batch}?from=seq and receives exactly the points
-// it missed. See durable.go and the protocol comment for the lifecycle.
+// journaled and their streams resumable. A journaled batch differs from a
+// storeless one in two attributes, not in code: it lives under the
+// server's lifetime context rather than the request's, and each delivered
+// point is appended to the job store before it is streamed. A client that
+// lost its connection — or whose server was kill -9ed and restarted —
+// re-attaches with GET /v1/studies/{batch}?from=seq and receives exactly
+// the points it missed. Only measured results reach a batch: a point that
+// exists because its submission was canceled or the server stopped is
+// never delivered, so it is never journaled, and a restart runs that
+// position again. See durable.go and the protocol comment for the
+// lifecycle.
 package studysvc
 
 import (
@@ -144,14 +153,13 @@ type Config struct {
 	Store *jobstore.Store
 }
 
-// task is one scheduled point job plus the submission it reports to.
+// task is one scheduled point job plus the batch position it fills.
 type task struct {
-	ctx      context.Context
+	b        *batchState
+	pos      int // index into b.jobs
 	job      core.PointJob
-	key      cache.Key          // content address (set whenever a cache is configured)
-	attempts int                // dispatches so far (0 until first failure)
-	retries  *atomic.Int64      // the submission's retry counter (trailer)
-	out      chan<- StreamPoint // buffered to the batch size; sends never block
+	key      cache.Key // content address (set whenever a cache is configured)
+	attempts int       // dispatches so far (0 until first failure)
 }
 
 // flight is one in-flight point key: the leader task is dispatched, every
@@ -167,22 +175,21 @@ type Server struct {
 	cache   *cache.Cache
 	members []*member
 	queue   chan task
-	quit    chan struct{}
 	wg      sync.WaitGroup
 	mux     *http.ServeMux
 
-	// probeCtx parents every health probe of a down member; Close cancels
-	// it so probes in flight return immediately instead of riding out
-	// probeTimeout and stalling the drain.
-	probeCtx    context.Context
-	probeCancel context.CancelFunc
+	// ctx is the server's lifetime: journaled batches and health probes
+	// run under it, every storeless batch's context ends with it, and
+	// Close (or kill) cancels it.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	// flights is the single-flight table: one entry per point key currently
 	// between cache lookup and result delivery.
 	flightMu sync.Mutex
 	flights  map[cache.Key]*flight
 
-	// Durable-batch state (Config.Store set; see durable.go).
+	// Journaled-batch state (Config.Store set; see durable.go).
 	store       *jobstore.Store
 	batchMu     sync.Mutex
 	batches     map[string]*batchState
@@ -191,9 +198,7 @@ type Server struct {
 	journalErrs atomic.Int64
 	recovery    DurabilityStats // last-startup recovery counters, static after New
 
-	draining  atomic.Bool
-	retries   atomic.Int64 // jobs re-dispatched after a worker failure
-	closeOnce sync.Once
+	retries atomic.Int64 // jobs re-dispatched after a worker failure
 }
 
 // New starts a Server's worker pool and returns the ready handler.
@@ -223,11 +228,10 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		cache:   cfg.Cache,
 		queue:   make(chan task),
-		quit:    make(chan struct{}),
 		mux:     http.NewServeMux(),
 		flights: make(map[cache.Key]*flight),
 	}
-	s.probeCtx, s.probeCancel = context.WithCancel(context.Background())
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	// Member names must be unique: they key the /v1/statsz fleet entries
 	// and seed the probe jitter, so two members sharing a name would be
 	// indistinguishable in diagnostics (and probe in lockstep). A repeated
@@ -308,23 +312,39 @@ func (s *Server) Fleet() []MemberStatus {
 // worker failure.
 func (s *Server) Retries() int64 { return s.retries.Load() }
 
-// Close stops the worker pool and waits for in-flight points to finish.
-// New submissions arriving once a Close has begun are rejected with a 503
-// ("server draining"); submissions already streaming observe the shutdown
-// and end their streams early (truncated, i.e. without a trailer — the
-// client-visible signal for mid-flight loss). Close is idempotent.
+// Close stops the server and waits for the worker pool to exit. New
+// submissions arriving once a Close has begun are rejected with a 503
+// ("server draining"). Every batch simply stops: streams in progress end
+// without a trailer (the client-visible signal for mid-flight loss),
+// queued jobs are skipped, and points still in flight (a local
+// simulation runs to its end, a remote one is canceled) are delivered
+// nowhere — a journal keeps only the points delivered before the stop,
+// and a restarted server runs the rest. Close is idempotent.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		s.draining.Store(true)
-		close(s.quit)
-		s.probeCancel()
-	})
+	s.kill()
 	s.wg.Wait()
 }
+
+// kill stops the scheduler without waiting for the pool, which is what a
+// SIGKILL leaves behind: no drain and no journal retirement. It is also
+// the crash hook of the restart tests, which call Close afterwards to
+// reap the pool goroutines.
+func (s *Server) kill() { s.cancel() }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
+}
+
+// draining answers a 503 once the server has begun stopping and reports
+// whether it did: losing the race against Close is loud, never a silently
+// dropped request.
+func (s *Server) draining(w http.ResponseWriter) bool {
+	if s.ctx.Err() == nil {
+		return false
+	}
+	http.Error(w, "studysvc: server draining", http.StatusServiceUnavailable)
+	return true
 }
 
 // memberLoop drains the shared queue on behalf of one pool member until
@@ -337,21 +357,22 @@ func (s *Server) memberLoop(m *member) {
 	defer m.close()
 	for {
 		select {
-		case <-s.quit:
+		case <-s.ctx.Done():
 			return
 		case t := <-s.queue:
-			if t.ctx.Err() != nil {
-				s.finishCanceled(t)
+			ctx := t.b.ctx
+			if ctx.Err() != nil {
+				s.abandon(t)
 				continue
 			}
-			pt, err := m.w.RunPoint(t.ctx, t.job)
+			pt, err := m.w.RunPoint(ctx, t.job)
 			if err == nil {
-				if t.ctx.Err() != nil && pt.Err != "" {
-					// The worker observed the submission's cancellation and
-					// returned a failed point instead of a result. That is
-					// this submission's loss only — a coalesced waiter from a
-					// live submission takes over the flight.
-					s.finishCanceled(t)
+				if ctx.Err() != nil && pt.Err != "" {
+					// The worker observed the batch's end and returned a
+					// failed point instead of a result. That is this
+					// batch's loss only — a coalesced waiter from a live
+					// batch takes over the flight.
+					s.abandon(t)
 					continue
 				}
 				m.points.Add(1)
@@ -363,11 +384,11 @@ func (s *Server) memberLoop(m *member) {
 				s.finish(t, pt, false)
 				continue
 			}
-			if t.ctx.Err() != nil {
-				// The submission vanished while the point was in flight; a
-				// remote's transport error is then the cancellation echoed
-				// back, not evidence the worker is broken.
-				s.finishCanceled(t)
+			if ctx.Err() != nil {
+				// The batch ended while the point was in flight; a remote's
+				// transport error is then the cancellation echoed back, not
+				// evidence the worker is broken.
+				s.abandon(t)
 				continue
 			}
 			m.failures.Add(1)
@@ -395,27 +416,24 @@ func (s *Server) retry(t task, worker string, cause error) {
 		return
 	}
 	s.retries.Add(1)
-	if t.retries != nil {
-		t.retries.Add(1)
+	t.b.retried.Add(1)
+	go s.dispatch(t)
+}
+
+// dispatch hands t to the pool, or abandons it if its batch ends first.
+func (s *Server) dispatch(t task) {
+	select {
+	case s.queue <- t:
+	case <-t.b.ctx.Done():
+		s.abandon(t)
 	}
-	go func() {
-		select {
-		case s.queue <- t:
-		case <-t.ctx.Done():
-			s.finishCanceled(t)
-		case <-s.quit:
-			pt := canceledPoint(t.job)
-			pt.Err = "studysvc: server draining; retried point abandoned"
-			s.finish(t, pt, false)
-		}
-	}()
 }
 
 // lead registers t as the flight for its key. It returns true when t is
 // the leader — the caller must eventually resolve the flight through
-// finish or finishCanceled — and false when the key is already in flight:
-// t has been parked as a waiter and will have the leader's result replayed
-// to it.
+// finish or abandon — and false when the key is already in flight: t has
+// been parked as a waiter and will have the leader's result replayed to
+// it.
 func (s *Server) lead(t task) bool {
 	s.flightMu.Lock()
 	defer s.flightMu.Unlock()
@@ -439,77 +457,56 @@ func (s *Server) resolve(k cache.Key) []task {
 	return f.waiters
 }
 
-// finish delivers pt to t's submission and replays it to every waiter that
+// finish delivers pt to t's batch and replays it to every waiter that
 // coalesced onto t's flight.
 func (s *Server) finish(t task, pt core.Point, hit bool) {
-	t.out <- toWire(t.job, pt, hit)
+	s.deliver(t, toWire(t.job, pt, hit))
 	for _, w := range s.resolve(t.key) {
 		sp := toWire(w.job, pt, hit)
 		sp.Coalesced = true
-		w.out <- sp
+		s.deliver(w, sp)
 	}
 }
 
-// finishCanceled reports t's cancellation to its own submission, then
-// hands t's flight to the next waiter whose submission is still alive —
-// the leader's death must not lose a point other submissions are waiting
-// on.
-func (s *Server) finishCanceled(t task) {
-	t.out <- toWire(t.job, canceledPoint(t.job), false)
-	s.promote(t.key)
-}
-
-// promote pops dead waiters off k's flight (delivering their
-// cancellations) until it finds one with a live context, which it requeues
-// as the flight's new leader. With no live waiter the flight is dissolved.
-func (s *Server) promote(k cache.Key) {
-	var dead []task
+// abandon drops t, whose batch has ended: nothing is delivered for it.
+// Its flight passes to the next waiter whose batch is still live — the
+// leader's end must not lose a point other submissions are waiting on.
+// Waiters whose batches have ended too are dropped on the way; with no
+// live waiter the flight is dissolved.
+func (s *Server) abandon(t task) {
 	var next *task
 	s.flightMu.Lock()
-	if f, ok := s.flights[k]; ok {
+	if f, ok := s.flights[t.key]; ok {
 		for len(f.waiters) > 0 {
 			w := f.waiters[0]
 			f.waiters = f.waiters[1:]
-			if w.ctx.Err() == nil {
+			if w.b.ctx.Err() == nil {
 				next = &w
 				break
 			}
-			dead = append(dead, w)
 		}
 		if next == nil {
-			delete(s.flights, k)
+			delete(s.flights, t.key)
 		}
 	}
 	s.flightMu.Unlock()
-	for _, w := range dead {
-		w.out <- toWire(w.job, canceledPoint(w.job), false)
-	}
 	if next != nil {
-		s.requeue(*next)
+		go s.requeue(*next)
 	}
 }
 
-// requeue dispatches a promoted waiter as its flight's new leader, on its
-// own goroutine because promotion happens on a pool member's loop (or an
-// enqueue goroutine) that must not block waiting for a free slot.
+// requeue dispatches a promoted waiter as its flight's new leader. It
+// runs on its own goroutine because promotion happens on a pool member's
+// loop (or an enqueue goroutine) that must not block waiting for a free
+// slot.
 func (s *Server) requeue(t task) {
-	go func() {
-		if s.cache != nil {
-			if e, ok := s.cache.Get(t.key); ok {
-				s.finish(t, t.job.FromEntry(e), true)
-				return
-			}
+	if s.cache != nil {
+		if e, ok := s.cache.Get(t.key); ok {
+			s.finish(t, t.job.FromEntry(e), true)
+			return
 		}
-		select {
-		case s.queue <- t:
-		case <-t.ctx.Done():
-			s.finishCanceled(t)
-		case <-s.quit:
-			pt := canceledPoint(t.job)
-			pt.Err = "studysvc: server draining; retried point abandoned"
-			s.finish(t, pt, false)
-		}
-	}()
+	}
+	s.dispatch(t)
 }
 
 // handleSubmit decomposes a batch, schedules its points, and streams results
@@ -524,26 +521,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "studysvc: empty batch", http.StatusBadRequest)
 		return
 	}
-	if s.store != nil {
-		if s.draining.Load() {
-			http.Error(w, "studysvc: server draining", http.StatusServiceUnavailable)
-			return
-		}
-		id := req.Batch
-		if id == "" {
-			id = newBatchID()
-		}
-		// openBatch is idempotent on the id: a client re-POSTing after a
-		// lost connection re-attaches to the running batch from seq 0.
-		b, _ := s.openBatch(id, req.Configs)
-		s.serveBatch(w, r, b, 0)
+	if s.draining(w) {
 		return
 	}
-	// A batch that decomposes to zero points (e.g. a config with no
-	// variants) streams normally — header then trailer — matching
-	// core.Runner.RunAll, which returns such studies with empty series.
-	_, jobs := core.Decompose(req.Configs)
-	s.stream(w, r, jobs, len(req.Configs))
+	if s.store == nil {
+		// A batch that decomposes to zero points (e.g. a config with no
+		// variants) streams normally — header then trailer — matching
+		// core.Runner.RunAll, which returns such studies with empty series.
+		_, jobs := core.Decompose(req.Configs)
+		s.serveEphemeral(w, r, jobs, len(req.Configs))
+		return
+	}
+	id := req.Batch
+	if id == "" {
+		id = newBatchID()
+	}
+	// openBatch is idempotent on the id: a client re-POSTing after a lost
+	// connection re-attaches to the running batch from seq 0.
+	b, _ := s.openBatch(id, req.Configs)
+	s.serveBatch(w, r, b, 0)
 }
 
 // handleSubmitPoints schedules pre-decomposed jobs — the coordinator-to-
@@ -558,151 +554,71 @@ func (s *Server) handleSubmitPoints(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "studysvc: empty job batch", http.StatusBadRequest)
 		return
 	}
+	if s.draining(w) {
+		return
+	}
 	studies := make(map[int]bool)
 	for _, j := range req.Jobs {
 		studies[j.Study] = true
 	}
-	s.stream(w, r, req.Jobs, len(studies))
+	s.serveEphemeral(w, r, req.Jobs, len(studies))
+}
+
+// serveEphemeral runs jobs as a storeless batch: no id, no journal, and a
+// context that ends when the request's does (the client disconnected) or
+// the server stops, whichever comes first.
+func (s *Server) serveEphemeral(w http.ResponseWriter, r *http.Request, jobs []core.PointJob, studies int) {
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	defer context.AfterFunc(s.ctx, cancel)()
+	b := s.newBatch(ctx, "", jobs, studies)
+	go s.enqueue(b)
+	s.serveBatch(w, r, b, 0)
 }
 
 // enqueue schedules a batch's jobs: cache hits are served inline, the
 // rest go to the pool queue, with single-flight leadership when a cache
-// is configured. skip (may be nil) marks positions already satisfied —
-// a recovered batch's journaled points. The durable flag selects the
-// abandonment semantics at shutdown: an ephemeral submission fabricates
-// loud "abandoned" failure points so its stream accounts for every job,
-// while a durable batch simply stops — its unscheduled jobs are exactly
-// what a restart re-enqueues from the journal, and fabricating failures
-// would journal them as results.
-func (s *Server) enqueue(ctx context.Context, jobs []core.PointJob, skip []bool, retried *atomic.Int64, out chan<- StreamPoint, durable bool) {
-	for i, j := range jobs {
-		if skip != nil && skip[i] {
+// is configured. Positions already delivered — a recovered batch's
+// journaled points — are skipped. When the batch's context ends the
+// remaining jobs are simply not scheduled: nothing is delivered for them,
+// so a journaled batch's unscheduled jobs are exactly what a restart
+// re-enqueues.
+func (s *Server) enqueue(b *batchState) {
+	for i, j := range b.jobs {
+		if b.isDone(i) {
 			continue
 		}
-		t := task{ctx: ctx, job: j, retries: retried, out: out}
-		if s.cache == nil {
-			// No cache, no dedup contract: every job dispatches.
-			select {
-			case s.queue <- t:
-			case <-ctx.Done():
-				return
-			case <-s.quit:
-				return
+		t := task{b: b, pos: i, job: j}
+		if s.cache != nil {
+			t.key = j.Key()
+			if !s.lead(t) {
+				// The key is already in flight (a duplicate in this batch,
+				// or a concurrent submission's); the leader's result will
+				// be replayed here.
+				continue
 			}
-			continue
-		}
-		t.key = j.Key()
-		if !s.lead(t) {
-			// The key is already in flight (a duplicate in this batch,
-			// or a concurrent submission's); the leader's result will
-			// be replayed here.
-			continue
-		}
-		// The leader holds the flight across the cache lookup, so
-		// concurrent lookers-up of one key cost one lookup — which for
-		// a remote tier means one network exchange, not a stampede.
-		if e, ok := s.cache.Get(t.key); ok {
-			s.finish(t, t.job.FromEntry(e), true)
-			continue
+			// The leader holds the flight across the cache lookup, so
+			// concurrent lookers-up of one key cost one lookup — which for
+			// a remote tier means one network exchange, not a stampede.
+			if e, ok := s.cache.Get(t.key); ok {
+				s.finish(t, j.FromEntry(e), true)
+				continue
+			}
 		}
 		select {
 		case s.queue <- t:
-		case <-ctx.Done():
-			if durable {
-				return
-			}
+		case <-b.ctx.Done():
 			// This flight may have collected waiters from other live
-			// submissions; hand it to one of them rather than leaking it.
-			s.finishCanceled(t)
-			return
-		case <-s.quit:
-			if durable {
-				return
-			}
-			pt := canceledPoint(t.job)
-			pt.Err = "studysvc: server draining; queued point abandoned"
-			s.finish(t, pt, false)
+			// batches; hand it to one of them rather than leaking it.
+			s.abandon(t)
 			return
 		}
 	}
-}
-
-// stream is the scheduling core shared by both submission forms: it commits
-// the response, enqueues every job (serving cache hits inline), and relays
-// results to the client as they land, closing with the batch trailer.
-func (s *Server) stream(w http.ResponseWriter, r *http.Request, jobs []core.PointJob, studies int) {
-	if s.draining.Load() {
-		// Losing the race against Close must be loud: a 503 before any
-		// stream byte, never a silently dropped batch.
-		http.Error(w, "studysvc: server draining", http.StatusServiceUnavailable)
-		return
-	}
-	ctx := r.Context()
-	start := time.Now()
-	w.Header().Set("Content-Type", ContentType)
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	if err := enc.Encode(Header{Points: len(jobs), Studies: studies}); err != nil {
-		return
-	}
-	flush()
-
-	// The result channel is buffered to the whole batch so pool workers and
-	// the enqueue goroutine can always deliver without blocking, even after
-	// this handler has given up on the client.
-	results := make(chan StreamPoint, len(jobs))
-	var retried atomic.Int64
-	go s.enqueue(ctx, jobs, nil, &retried, results, false)
-
-	var t Trailer
-	t.CacheEnabled = s.cache != nil
-	for seen := 0; seen < len(jobs); seen++ {
-		select {
-		case sp := <-results:
-			// Delivery order is the sequence axis even on an ephemeral
-			// stream; only durable batches can actually be resumed from it.
-			sp.Seq = seen + 1
-			if sp.CacheHit {
-				t.CacheHits++
-			} else {
-				t.CacheMisses++
-			}
-			if sp.Coalesced {
-				t.Coalesced++
-			}
-			if sp.Err != "" {
-				t.Errors++
-			}
-			if err := enc.Encode(sp); err != nil {
-				return // client gone; ctx cancellation reaps queued jobs
-			}
-			flush()
-		case <-ctx.Done():
-			return
-		case <-s.quit:
-			return
-		}
-	}
-	t.Done = true
-	t.Points = len(jobs)
-	t.Retries = int(retried.Load())
-	t.ElapsedNS = int64(time.Since(start))
-	if err := enc.Encode(t); err != nil {
-		return
-	}
-	flush()
 }
 
 // handleHealth implements PathHealth.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		http.Error(w, "studysvc: server draining", http.StatusServiceUnavailable)
+	if s.draining(w) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -740,8 +656,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // are consulted (cache.GetLocal), so peers pointing at each other can
 // never chain lookups into a loop.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		http.Error(w, "studysvc: server draining", http.StatusServiceUnavailable)
+	if s.draining(w) {
 		return
 	}
 	if s.cache == nil {
@@ -769,8 +684,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 // (cache.PutLocal); puts are best-effort on the sending side, so every
 // refusal here is just a counted miss over there.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		http.Error(w, "studysvc: server draining", http.StatusServiceUnavailable)
+	if s.draining(w) {
 		return
 	}
 	if s.cache == nil {

@@ -73,8 +73,9 @@ func (w *LocalWorker) Close() error {
 	return nil
 }
 
-// canceledPoint fills a job's result slot when its submission was abandoned
-// before the point ran.
+// canceledPoint is what LocalWorker returns for a job whose context ended
+// before the point ran. It is never a result: the scheduler delivers
+// nothing for a batch whose context has ended.
 func canceledPoint(j core.PointJob) core.Point {
 	return core.Point{
 		Nodes: j.Nodes,
