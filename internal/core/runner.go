@@ -107,7 +107,7 @@ func (j PointJob) Execute() Point { return j.ExecuteIn(nil) }
 
 // ExecuteIn is Execute with the point's simulation kernel drawn from arena:
 // consecutive calls on one arena reuse the event-heap storage, event and
-// flow pools, RNG, and process-goroutine arena of the previous point
+// flow pools, RNG, and process-coroutine arena of the previous point
 // instead of rebuilding them. A nil arena builds a cold kernel. Measured
 // fields are byte-identical on every path — the executor owning a long-
 // lived worker (the Runner's pool, a studysvc worker slot) holds one arena

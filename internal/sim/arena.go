@@ -4,8 +4,8 @@ package sim
 // simulations back to back (a study sweep pool worker, a daosd worker
 // slot) pays the kernel's setup cost once instead of per run: consecutive
 // Get calls hand back the same Sim with its event-heap and ready-queue
-// storage, event and flow free lists, RNG, and arena of parked process
-// goroutines intact, rewound to a fresh seed. Results are byte-identical
+// storage, event and flow free lists, RNG, and arena of idle process
+// coroutines intact, rewound to a fresh seed. Results are byte-identical
 // to fresh-Sim runs — Reset restores exactly the observable state New
 // creates, which the kernel's reset-isolation tests pin.
 //
@@ -13,15 +13,14 @@ package sim
 // intended owner is a single worker goroutine that holds it for its
 // lifetime and calls Drain when it retires. A simulation that fails to
 // quiesce (live or parked processes left behind at the next Get) cannot
-// be rewound; Get discards it — its goroutines are not reclaimable — and
-// starts over with a fresh Sim, counting the event in Discarded.
+// be rewound; Get drains it, stopping every coroutine it owns, and starts
+// over with a fresh Sim, counting the event in Discarded.
 type Arena struct {
 	sim *Sim
 
 	// Discarded counts simulators abandoned because they had not quiesced
 	// when the next Get needed them. A non-zero count means some run
-	// leaked processes — worth investigating, since each discard also
-	// strands that simulator's parked goroutines.
+	// leaked processes — worth investigating.
 	Discarded int
 }
 
@@ -37,15 +36,15 @@ func (a *Arena) Get(seed uint64) *Sim {
 			a.sim.Reset(seed)
 			return a.sim
 		}
-		a.sim.Drain() // reclaim at least the idle goroutines
+		a.sim.Drain()
 		a.Discarded++
 	}
 	a.sim = New(seed)
 	return a.sim
 }
 
-// Drain releases the arena's idle worker goroutines (waiting for them to
-// exit) and drops the held simulator. Call it when the owning worker
+// Drain stops the held simulator's coroutines (waiting for their
+// goroutines to exit) and drops it. Call it when the owning worker
 // retires; leak tests pin that goroutine counts return to baseline after
 // a drained sweep.
 func (a *Arena) Drain() {

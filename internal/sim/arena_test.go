@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// TestArenaFreeStackReuse is the white-box pin for the goroutine arena: a
+// TestArenaFreeStackReuse is the white-box pin for the coroutine arena: a
 // sequential churn of short-lived processes must execute on a handful of
-// reused worker goroutines, not one per process, and finished shells must
+// reused coroutines, not one per process, and finished shells must
 // land on the free stack.
 func TestArenaFreeStackReuse(t *testing.T) {
 	s := New(1)
@@ -22,24 +22,24 @@ func TestArenaFreeStackReuse(t *testing.T) {
 	s.Run()
 	// At most two processes overlap (spacing 1µs, lifetime 0.1µs), so the
 	// arena must stay tiny; without reuse it would hold 1000 workers.
-	if s.nworkers > 4 {
-		t.Fatalf("arena grew to %d workers for %d sequential processes", s.nworkers, procs)
+	if s.Workers() > 4 {
+		t.Fatalf("arena grew to %d workers for %d sequential processes", s.Workers(), procs)
 	}
-	if len(s.idle) != s.nworkers {
-		t.Fatalf("idle stack holds %d of %d workers after drain-out", len(s.idle), s.nworkers)
+	if len(s.idle) != s.Workers() {
+		t.Fatalf("idle stack holds %d of %d workers after drain-out", len(s.idle), s.Workers())
 	}
 	// The next spawn must come from the free stack, not grow the arena.
-	before := s.nworkers
+	before := s.Workers()
 	s.Spawn("again", func(p *Proc) {})
 	s.Run()
-	if s.nworkers != before {
-		t.Fatalf("spawn after quiesce grew the arena: %d -> %d workers", before, s.nworkers)
+	if s.Workers() != before {
+		t.Fatalf("spawn after quiesce grew the arena: %d -> %d workers", before, s.Workers())
 	}
 	s.Drain()
 }
 
 // TestArenaConcurrentProcsGetDistinctWorkers pins that simultaneous live
-// processes each own a goroutine (reuse must never alias two live procs).
+// processes each own a coroutine (reuse must never alias two live procs).
 func TestArenaConcurrentProcsGetDistinctWorkers(t *testing.T) {
 	s := New(1)
 	const procs = 64
@@ -54,8 +54,8 @@ func TestArenaConcurrentProcsGetDistinctWorkers(t *testing.T) {
 		})
 	}
 	s.Run()
-	if s.nworkers != procs {
-		t.Fatalf("nworkers = %d, want %d for %d overlapping processes", s.nworkers, procs, procs)
+	if s.Workers() != procs {
+		t.Fatalf("nworkers = %d, want %d for %d overlapping processes", s.Workers(), procs, procs)
 	}
 	if len(seen) != procs {
 		t.Fatalf("distinct shells = %d, want %d", len(seen), procs)
@@ -108,13 +108,29 @@ func TestResetPanicsNonQuiesced(t *testing.T) {
 
 // TestArenaGetDiscardsNonQuiesced pins the Arena's fallback: a simulation
 // that leaks live processes is abandoned, not reused, and the replacement
-// is a clean simulator.
+// is a clean simulator. The abandoned simulator's coroutines — including a
+// process parked forever mid-body — are stopped, not stranded.
 func TestArenaGetDiscardsNonQuiesced(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	a := NewArena()
 	s1 := a.Get(1)
 	s1.Spawn("sleeper", func(p *Proc) { p.Sleep(10 * time.Second) })
+	unwound, returned := false, false
+	s1.Spawn("idler", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.ParkIdle() // nobody ever unparks it
+		returned = true
+	})
 	s1.RunUntil(time.Second)
 	s2 := a.Get(2)
+	if !unwound {
+		t.Fatal("discarding the simulator did not unwind the parked process")
+	}
+	// A stopped park must not return: a Queue.Recv loop would re-park and
+	// spin forever.
+	if returned {
+		t.Fatal("a stopped process returned from its park instead of unwinding")
+	}
 	if s2 == s1 {
 		t.Fatal("arena reused a non-quiesced simulator")
 	}
@@ -125,6 +141,24 @@ func TestArenaGetDiscardsNonQuiesced(t *testing.T) {
 		t.Fatalf("replacement sim not clean: now=%v quiesced=%v", s2.Now(), s2.Quiesced())
 	}
 	a.Drain()
+	if s1.Workers() != 0 {
+		t.Fatalf("discarded sim still owns %d coroutines", s1.Workers())
+	}
+	waitGoroutines(t, baseline)
+}
+
+// waitGoroutines fails t unless the goroutine count returns to baseline.
+// Drain returns once every coroutine has finished, but the runtime may
+// retire their goroutines a moment later, so give it a few seconds.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("goroutines leaked: baseline %d, after drain %d", baseline, n)
+	}
 }
 
 // TestArenaReuseAcrossGets pins that consecutive Get calls on quiesced runs
@@ -172,16 +206,7 @@ func TestDrainReturnsGoroutinesToBaseline(t *testing.T) {
 	if s.Workers() != 0 {
 		t.Fatalf("Workers = %d after Drain, want 0", s.Workers())
 	}
-	// Drain waits for each worker's exit acknowledgement, but the ack is
-	// sent just before the goroutine returns, so give the scheduler a
-	// moment to retire them before counting.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseline {
-		t.Fatalf("goroutines leaked: baseline %d, after drain %d", baseline, n)
-	}
+	waitGoroutines(t, baseline)
 	// A drained simulator is still usable: the arena regrows on demand.
 	ran := false
 	s.Spawn("again", func(p *Proc) { ran = true })
@@ -210,7 +235,7 @@ func TestContendedResourceSteadyStateDoesNotAllocate(t *testing.T) {
 		}
 		s.Run()
 	}
-	cycle(100) // warm the event pool, goroutine arena, and queue backings
+	cycle(100) // warm the event pool, coroutine arena, and queue backings
 	const opsPerCycle = 200 * 16
 	avg := testing.AllocsPerRun(5, func() { cycle(200) })
 	// A cycle allocates its 16 spawn closures; per-operation allocation

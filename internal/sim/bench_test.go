@@ -18,7 +18,8 @@ func BenchmarkEventScheduling(b *testing.B) {
 }
 
 func BenchmarkProcessSwitch(b *testing.B) {
-	// Measures the goroutine-handoff cost of one Sleep round trip.
+	// Measures one Sleep round trip: with nothing else scheduled it takes
+	// the inline fast path and never parks (see BenchmarkProcessPark).
 	s := New(1)
 	n := b.N
 	s.Spawn("p", func(p *Proc) {
@@ -26,6 +27,35 @@ func BenchmarkProcessSwitch(b *testing.B) {
 			p.Sleep(time.Nanosecond)
 		}
 	})
+	b.ResetTimer()
+	s.Run()
+}
+
+func BenchmarkProcessPark(b *testing.B) {
+	// Two processes ping-pong one message through a pair of Queues: every
+	// iteration is a real park and resume of each process (two process
+	// switches), the cost the inline Sleep path of BenchmarkProcessSwitch
+	// never pays.
+	s := New(1)
+	ping, pong := NewQueue(s, "ping"), NewQueue(s, "pong")
+	n := b.N
+	s.Spawn("ping", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			ping.Send(nil)
+			pong.Recv(p)
+		}
+		ping.Close()
+	})
+	s.Spawn("pong", func(p *Proc) {
+		for {
+			v, ok := ping.Recv(p)
+			if !ok {
+				return
+			}
+			pong.Send(v)
+		}
+	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	s.Run()
 }
@@ -120,7 +150,7 @@ func BenchmarkResourceUncontended(b *testing.B) {
 func BenchmarkSpawn(b *testing.B) {
 	// Process churn: spawn waves of trivial processes and drain them. This is
 	// the lifecycle cost a study point pays for every simulated client op
-	// (goroutine creation, first handoff, exit) amortized per process.
+	// (arena coroutine bind, first resume, finish) amortized per process.
 	s := New(1)
 	b.ReportAllocs()
 	b.ResetTimer()

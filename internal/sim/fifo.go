@@ -10,9 +10,6 @@ package sim
 // capacity stays within a small factor of the peak queue length, and a
 // long-lived queue — even one that never fully drains, like a saturated
 // resource's waiter line — settles into zero steady-state allocation.
-// Sim.unpark hand-inlines this compaction scheme for the kernel's ready-run
-// queue (which needs a raw head peek on the dispatch hot path); keep them
-// in sync.
 type fifo[T any] struct {
 	buf  []T
 	head int

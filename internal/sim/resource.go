@@ -356,7 +356,7 @@ func (b *SharedBW) Transfer(p *Proc, size int64) {
 		}
 		dt := time.Duration(math.Ceil(float64(size) / r * 1e9))
 		wake := s.now + dt
-		if dt >= 0 && wake >= s.now && wake <= s.limit && s.rhead == len(s.ready) &&
+		if dt >= 0 && wake >= s.now && wake <= s.limit && s.ready.Len() == 0 &&
 			(len(s.queue) == 0 || s.queue[0].at > wake) {
 			s.now = wake
 			b.last = wake

@@ -84,7 +84,7 @@ func TestSharedBWFastPathMatchesSlowPath(t *testing.T) {
 
 // TestTransferInlineAdvance verifies the uncontended fast path actually
 // engages: a transfer on an idle link advances virtual time without touching
-// the event heap or parking the goroutine.
+// the event heap or parking the process.
 func TestTransferInlineAdvance(t *testing.T) {
 	s := New(1)
 	bw := NewSharedBW(s, "link", 1e9, 0)
@@ -302,8 +302,8 @@ func TestUnparkBypassesHeap(t *testing.T) {
 		if got := s.queue.Len(); got != before {
 			t.Errorf("unpark touched the event heap: %d -> %d entries", before, got)
 		}
-		if got := s.readyLen(); got != 1 {
-			t.Errorf("readyLen = %d, want 1", got)
+		if got := s.ready.Len(); got != 1 {
+			t.Errorf("ready.Len() = %d, want 1", got)
 		}
 	})
 	s.Run()

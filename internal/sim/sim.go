@@ -2,12 +2,12 @@
 //
 // The kernel drives every timed component in this repository: storage media,
 // network fabric, DAOS engines, and the benchmark clients. Simulated
-// "processes" are ordinary goroutines that pass a single control token
-// between themselves through strict channel handoff, so exactly one
-// goroutine runs at any instant and event ordering is fully deterministic:
-// events fire in (time, insertion-sequence) order. There is no dedicated
-// scheduler goroutine — whichever goroutine holds the token drives the
-// dispatch loop (see schedule) and wakes the next process directly.
+// "processes" are coroutines (iter.Pull): Run and RunUntil hold the only
+// dispatch loop, on the caller's goroutine, and it pops events in (time,
+// insertion-sequence) order. Waking or spawning a process switches into its
+// coroutine; the process runs until it parks or finishes, which switches
+// straight back to the loop. Exactly one coroutine runs at any instant, so
+// event ordering is fully deterministic and no locking is needed.
 //
 // The design follows the classic process-interaction style (SimPy, CSIM):
 // a process calls Sleep, acquires Resources, transfers bytes over SharedBW
@@ -15,16 +15,16 @@
 // those interactions. Virtual time is a time.Duration measured from the start
 // of the run.
 //
-// Three mechanisms keep the hot loop cheap without changing observable order:
+// Four mechanisms keep the hot loop cheap without changing observable order:
 //
-//   - Timer-only interactions avoid goroutine parking entirely. When a
-//     process Sleeps and no other event is due at or before its wake time,
-//     the kernel advances virtual time inline on the calling goroutine
-//     instead of scheduling a wake event and handing control back to the
-//     scheduler (two channel handoffs each way). A Transfer that joins an
-//     idle SharedBW link gets the same treatment: a sole flow is a pure
-//     timer (size over the per-flow rate), so the kernel advances time
-//     inline with no event, no flow record, and no park/unpark.
+//   - Timer-only interactions avoid parking entirely. When a process Sleeps
+//     and no other event is due at or before its wake time, the kernel
+//     advances virtual time inline in the calling process instead of
+//     scheduling a wake event and switching back to the dispatch loop. A
+//     Transfer that joins an idle SharedBW link gets the same treatment: a
+//     sole flow is a pure timer (size over the per-flow rate), so the
+//     kernel advances time inline with no event, no flow record, and no
+//     park/unpark.
 //
 //   - Events are plain pooled structs, not closures. Process wake-ups and
 //     SharedBW completions carry a target pointer instead of an allocated
@@ -41,24 +41,20 @@
 //     number they would have been stamped with, so firing order is exactly
 //     that of the heap-event formulation.
 //
-//   - Process goroutines come from a per-Sim arena. A finished process
-//     body parks its goroutine (and its Proc shell and wake channel) on a
-//     free stack instead of exiting, and the next Spawn revives it with a
-//     single token send — no goroutine or stack creation, no allocation.
-//     The control token passes through one-slot buffered channels, so a
-//     handoff never blocks the sender: the waker deposits the token and
-//     proceeds straight to its own park, one blocking channel op per
-//     park/resume cycle instead of a send rendezvous plus a receive (and
-//     the buffer is what lets a finishing goroutine's own dispatch drive
-//     revive that same goroutine for a pending spawn). Sim.Reset rewinds a
-//     drained simulator to its post-New state while keeping the arena, the
-//     event and flow pools, and the heap and ready-queue storage, so a
-//     sweep can run thousands of simulations on one kernel's allocations
-//     (see Arena).
+//   - Process coroutines come from a per-Sim arena. A finished process
+//     body puts its Proc shell on a free stack and yields instead of
+//     returning, and the next Spawn resumes that same coroutine with the
+//     new body — no goroutine or stack creation, no allocation. Sim.Reset
+//     rewinds a drained simulator to its post-New state while keeping the
+//     arena, the event and flow pools, and the heap and ready-queue
+//     storage, so a sweep can run thousands of simulations on one kernel's
+//     allocations (see Arena).
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"iter"
 	"time"
 )
 
@@ -85,23 +81,18 @@ type Sim struct {
 	now      time.Duration
 	seq      uint64
 	queue    eventHeap
-	free     []*event      // recycled events; popped entries return here
-	flowFree []*flow       // recycled SharedBW flow records
-	ready    []readyProc   // procs unparked at the current instant, FIFO
-	rhead    int           // index of the first undrained ready entry
-	done     chan struct{} // control token return to the Run/RunUntil caller
-	nproc    int           // live (spawned, not yet finished) processes
-	parked   int           // processes blocked on a resource/queue (no pending event)
+	free     []*event        // recycled events; popped entries return here
+	flowFree []*flow         // recycled SharedBW flow records
+	ready    fifo[readyProc] // procs unparked at the current instant
+	nproc    int             // live (spawned, not yet finished) processes
+	parked   int             // processes blocked on a resource/queue (no pending event)
 	rng      *RNG
 
-	// idle is the goroutine arena's free stack: Proc shells whose
-	// goroutines finished a body and parked awaiting reuse. nworkers counts
-	// every arena goroutine ever started and not yet drained (idle + live),
-	// bounding the arena for leak checks. drainAck, set only inside Drain,
-	// is where exiting workers acknowledge their shutdown token.
-	idle     []*Proc
-	nworkers int
-	drainAck chan struct{}
+	// procs is every Proc shell the arena owns (live and idle) until Drain
+	// stops their coroutines; idle is its free stack of shells whose
+	// coroutines finished a body and wait for the next spawn.
+	procs []*Proc
+	idle  []*Proc
 
 	// limit is the horizon of the innermost Run/RunUntil drive; the Sleep
 	// fast path must not advance time past it.
@@ -114,12 +105,7 @@ type Sim struct {
 
 // New returns a simulator whose random source is seeded with seed.
 func New(seed uint64) *Sim {
-	return &Sim{
-		// Buffered so the dispatch chain can return the control token even
-		// while it is itself the goroutine driving Run (empty simulation).
-		done: make(chan struct{}, 1),
-		rng:  NewRNG(seed),
-	}
+	return &Sim{rng: NewRNG(seed)}
 }
 
 // Now returns the current virtual time.
@@ -132,8 +118,8 @@ func (s *Sim) RNG() *RNG { return s.rng }
 // order, which keeps runs reproducible. Exactly one of fire, proc, spawn, or
 // bw is set: fire is a generic callback, proc wakes a parked process, spawn
 // starts a new process (the event carries the body and name; the process
-// draws its goroutine from the arena only when the event fires, so a batch
-// of pre-scheduled future processes reuses the goroutines of the ones that
+// draws its coroutine from the arena only when the event fires, so a batch
+// of pre-scheduled future processes reuses the coroutines of the ones that
 // finished before them), and bw checks a SharedBW completion (gen guards
 // against stale, superseded completions). Events are pooled: once popped
 // they are reset and recycled, so no component may retain a popped event.
@@ -312,68 +298,35 @@ type readyProc struct {
 	proc *Proc
 }
 
-// readyLen returns the number of undrained ready entries.
-func (s *Sim) readyLen() int { return len(s.ready) - s.rhead }
-
-// popReady removes the front ready entry. The backing slice is reclaimed
-// wholesale once drained, so a completion wave costs one append and one
-// index bump per wake-up.
-func (s *Sim) popReady() {
-	s.ready[s.rhead].proc = nil
-	s.rhead++
-	if s.rhead == len(s.ready) {
-		s.ready = s.ready[:0]
-		s.rhead = 0
-	}
-}
-
 // readyFirst reports whether the front ready entry precedes the heap root
 // in (time, seq) order. Ready entries are always stamped at the current
 // instant, and the heap can never hold an event in the past, so the heap
 // wins only with an event at now bearing a smaller sequence. Must not be
 // called with an empty ready queue.
 func (s *Sim) readyFirst() bool {
-	return len(s.queue) == 0 || s.queue[0].at > s.now || s.queue[0].seq > s.ready[s.rhead].seq
+	return len(s.queue) == 0 || s.queue[0].at > s.now || s.queue[0].seq > s.ready.buf[s.ready.head].seq
 }
 
-// schedule runs the dispatch loop on the calling goroutine until control
-// must pass elsewhere. The kernel has no dedicated scheduler goroutine:
-// whichever goroutine holds the control token (the Run/RunUntil caller at
-// first, then each parking or finishing process in turn) drives dispatch
-// itself, and a process wake-up is a direct goroutine-to-goroutine handoff
-// (one channel send) instead of a round trip through a scheduler. self is
-// the process whose goroutine is driving, or nil for the Run caller; when
-// the next event is self's own wake-up, schedule simply returns true and no
-// channel operation happens at all. Exactly one goroutine runs kernel code
-// at any instant, and event order is identical to a centralized loop: the
-// handoff only changes which stack executes the same (time, seq) sequence.
-//
-// schedule returns true if control stays with the caller (self resumed). It
-// returns false after handing the token to another process or, when the
-// drive ends (queue drained, or the next event lies past s.limit), after
-// returning the token to the Run/RunUntil caller through s.done.
-func (s *Sim) schedule(self *Proc) bool {
+// dispatch is the kernel's one dispatch loop, run on the Run/RunUntil
+// caller's goroutine. It fires events in (time, seq) order until the queue
+// drains or the next event lies past s.limit. Waking or spawning a process
+// resumes its coroutine, which runs until it parks or finishes its body and
+// then switches straight back here.
+func (s *Sim) dispatch() {
 	for {
-		if s.rhead < len(s.ready) {
+		if s.ready.Len() > 0 {
 			if s.readyFirst() {
-				p := s.ready[s.rhead].proc
-				s.popReady()
-				if p == self {
-					return true
-				}
-				p.wake <- struct{}{}
-				return false
+				s.ready.Pop().proc.resume()
+				continue
 			}
 		} else if len(s.queue) == 0 {
-			s.done <- struct{}{}
-			return false
+			return
 		}
 		if s.queue[0].at > s.limit {
 			if s.now < s.limit {
 				s.now = s.limit
 			}
-			s.done <- struct{}{}
-			return false
+			return
 		}
 		e := s.queue.pop()
 		s.now = e.at
@@ -381,31 +334,21 @@ func (s *Sim) schedule(self *Proc) bool {
 		case e.proc != nil:
 			p := e.proc
 			s.recycle(e)
-			if p == self {
-				return true
-			}
-			p.wake <- struct{}{}
-			return false
+			p.resume()
 		case e.bw != nil:
 			// Owned by the SharedBW (see schedBW); never recycled.
 			if e.gen == e.bw.gen {
 				e.bw.complete()
 			}
 		case e.spawn != nil:
-			// Bind the new process to an arena goroutine now, at fire time:
+			// Bind the new process to an arena coroutine now, at fire time:
 			// shells freed by processes that finished earlier in the run are
-			// on the free stack and get reused. The goroutine is already
-			// parked at its run loop's receive, and the wake channel's
-			// one-slot buffer makes the handoff safe even when the popped
-			// shell belongs to the goroutine driving this very dispatch — a
-			// finishing process immediately reincarnated deposits its own
-			// token, returns from schedule, and collects it at the loop top.
+			// on the free stack and get reused.
 			p := s.allocProc()
 			p.name = e.sname
 			p.body = e.spawn
 			s.recycle(e)
-			p.wake <- struct{}{}
-			return false
+			p.resume()
 		case e.fire != nil:
 			fn := e.fire
 			s.recycle(e)
@@ -418,12 +361,11 @@ func (s *Sim) schedule(self *Proc) bool {
 
 // Run drives the simulation until no events remain. It returns the final
 // virtual time. If processes are still blocked on resources when the event
-// queue drains, Run panics: that is a deadlock in the modelled system and
-// continuing would silently leak goroutines.
+// queue drains, Run panics: that is a deadlock in the modelled system. A
+// panic in a process body surfaces from Run with its original value.
 func (s *Sim) Run() time.Duration {
 	s.limit = maxTime
-	s.schedule(nil)
-	<-s.done
+	s.dispatch()
 	if s.parked > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) parked with no pending events at %v", s.parked, s.now))
 	}
@@ -435,8 +377,7 @@ func (s *Sim) Run() time.Duration {
 // returns. It reports whether the event queue drained.
 func (s *Sim) RunUntil(limit time.Duration) bool {
 	s.limit = limit
-	s.schedule(nil)
-	<-s.done
+	s.dispatch()
 	return len(s.queue) == 0
 }
 
@@ -444,13 +385,13 @@ func (s *Sim) RunUntil(limit time.Duration) bool {
 // parked processes, no pending events, no ready resumptions. A quiesced Sim
 // may be rewound with Reset.
 func (s *Sim) Quiesced() bool {
-	return s.nproc == 0 && s.parked == 0 && len(s.queue) == 0 && s.readyLen() == 0
+	return s.nproc == 0 && s.parked == 0 && len(s.queue) == 0 && s.ready.Len() == 0
 }
 
 // Reset rewinds a quiesced simulator to the state New(seed) would return,
 // while keeping every allocation worth keeping: the event and flow free
-// lists, the heap and ready-queue backing arrays, and the arena of parked
-// process goroutines. A run on a Reset simulator is byte-identical to a run
+// lists, the heap and ready-queue backing arrays, and the arena of idle
+// process coroutines. A run on a Reset simulator is byte-identical to a run
 // on a fresh one — virtual time, the insertion-sequence counter, and the
 // random stream all restart from their seeds, and pooled storage carries no
 // observable state (recycled events and flows are cleared, and the heap and
@@ -459,7 +400,7 @@ func (s *Sim) Quiesced() bool {
 func (s *Sim) Reset(seed uint64) {
 	if !s.Quiesced() {
 		panic(fmt.Sprintf("sim: Reset of a non-quiesced simulator: %d live, %d parked, %d events, %d ready",
-			s.nproc, s.parked, len(s.queue), s.readyLen()))
+			s.nproc, s.parked, len(s.queue), s.ready.Len()))
 	}
 	s.now = 0
 	s.seq = 0
@@ -467,43 +408,46 @@ func (s *Sim) Reset(seed uint64) {
 	s.rng.Seed(seed)
 }
 
-// Drain stops the arena's idle worker goroutines and waits for them to
-// exit. It must only be called while no simulation is being driven — the
-// natural moment is a sweep worker retiring its Sim. Live processes (a
-// non-quiesced simulator) are untouched and their goroutines are not
-// reclaimable; a later Spawn simply regrows the arena.
+// Drain stops every coroutine the simulator owns — idle shells and, on a
+// simulator that did not quiesce, processes still parked mid-body — and
+// returns once their goroutines have exited. It must only be called while
+// no simulation is being driven — the natural moment is a sweep worker
+// retiring its Sim. A stopped process unwinds from its park point (its
+// deferred calls run), so a non-quiesced simulator is not usable after
+// Drain; a quiesced one is, and a later Spawn simply regrows the arena.
 func (s *Sim) Drain() {
-	k := len(s.idle)
-	if k == 0 {
-		return
+	for _, p := range s.procs {
+		p.stop()
 	}
-	s.drainAck = make(chan struct{})
-	for i, p := range s.idle {
-		p.wake <- struct{}{} // body == nil: the worker exits and acks
-		s.idle[i] = nil
-	}
+	clear(s.procs)
+	s.procs = s.procs[:0]
+	clear(s.idle)
 	s.idle = s.idle[:0]
-	for i := 0; i < k; i++ {
-		<-s.drainAck
-	}
-	s.drainAck = nil
-	s.nworkers -= k
 }
 
-// Workers returns the number of live arena goroutines (parked idle shells
-// plus running processes). It exists for leak tests: after a quiesced Sim
-// is drained it must be zero.
-func (s *Sim) Workers() int { return s.nworkers }
+// Workers returns the number of live arena coroutines (idle shells plus
+// running processes). It exists for leak tests: after a Sim is drained it
+// must be zero.
+func (s *Sim) Workers() int { return len(s.procs) }
 
 // Proc is a handle held by a simulated process. All blocking operations
 // (Sleep, Resource.Acquire, Queue.Recv, ...) take the Proc so the kernel can
-// park and resume the goroutine.
+// park and resume its coroutine.
 type Proc struct {
 	sim  *Sim
 	name string
-	wake chan struct{}
 	body func(p *Proc)
+
+	// resume switches from the dispatch loop into the coroutine until the
+	// process parks or finishes its body; yield switches back, reporting
+	// false once stop has ended the coroutine.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
 }
+
+// errStopped unwinds a process body parked in a coroutine that Drain stops.
+var errStopped = errors.New("sim: process stopped by Drain")
 
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
@@ -515,16 +459,17 @@ func (p *Proc) Sim() *Sim { return p.sim }
 func (p *Proc) Now() time.Duration { return p.sim.now }
 
 // Spawn creates a process that begins running body at the current virtual
-// time. body executes on its own goroutine but in strict alternation with
-// every other process, so no locking is required inside the simulation.
+// time. body executes on its own coroutine, in strict alternation with the
+// dispatch loop and every other process, so no locking is required inside
+// the simulation.
 func (s *Sim) Spawn(name string, body func(p *Proc)) {
 	s.SpawnAt(s.now, name, body)
 }
 
 // SpawnAt creates a process that begins running body at virtual time t. The
-// process is bound to an arena goroutine — a shell recycled from a finished
-// process when one is free, a fresh goroutine otherwise — when its spawn
-// event fires, so processes scheduled for the future reuse the goroutines
+// process is bound to an arena coroutine — a shell recycled from a finished
+// process when one is free, a fresh coroutine otherwise — when its spawn
+// event fires, so processes scheduled for the future reuse the coroutines
 // of processes that finish before then.
 func (s *Sim) SpawnAt(t time.Duration, name string, body func(p *Proc)) {
 	s.nproc++
@@ -534,11 +479,8 @@ func (s *Sim) SpawnAt(t time.Duration, name string, body func(p *Proc)) {
 	s.queue.push(e)
 }
 
-// allocProc takes a parked process shell from the arena's free stack, or
-// starts a fresh worker goroutine (which immediately parks at its run
-// loop's receive). Writing the shell's name and body after allocProc is
-// safe even though the worker goroutine is live: it reads them only after
-// receiving the spawn handoff, which the channel orders after the writes.
+// allocProc takes an idle process shell from the arena's free stack, or
+// creates a fresh coroutine (which starts at its first resume).
 func (s *Sim) allocProc() *Proc {
 	if n := len(s.idle); n > 0 {
 		p := s.idle[n-1]
@@ -546,46 +488,41 @@ func (s *Sim) allocProc() *Proc {
 		s.idle = s.idle[:n-1]
 		return p
 	}
-	p := &Proc{sim: s, wake: make(chan struct{}, 1)}
-	s.nworkers++
-	go p.run()
+	p := &Proc{sim: s}
+	p.resume, p.stop = iter.Pull(p.loop)
+	s.procs = append(s.procs, p)
 	return p
 }
 
-// run is an arena goroutine's lifetime: for each assignment, wait for the
-// spawn handoff, execute the body, park the shell on the free stack, and
-// keep driving the dispatch loop with the token the body was left holding.
-// A handoff with no body pending is the drain signal: the goroutine exits
-// after acknowledging it.
-func (p *Proc) run() {
-	for {
-		<-p.wake
-		body := p.body
-		if body == nil {
-			p.sim.drainAck <- struct{}{}
-			return
+// loop is an arena coroutine's lifetime: run the body the spawn installed,
+// put the shell on the free stack, and yield until the next spawn resumes
+// it. It returns when Drain stops it, idle or parked mid-body.
+func (p *Proc) loop(yield func(struct{}) bool) {
+	defer func() {
+		if r := recover(); r != nil && r != errStopped {
+			panic(r) // iter.Pull re-raises it from resume, i.e. from Run
 		}
-		p.body = nil
+	}()
+	p.yield = yield
+	for {
+		body := p.body
+		p.body = nil // an idle shell must not pin the body's captures
 		body(p)
 		s := p.sim
 		s.nproc--
-		// Still holding the token, so pushing the shell is exclusive; a
-		// spawn event dispatched just below may pop it right back and
-		// re-arm p.wake through its one-slot buffer.
 		s.idle = append(s.idle, p)
-		s.schedule(nil)
+		if !yield(struct{}{}) {
+			return
+		}
 	}
 }
 
 // yieldWait parks the calling process until another event resumes it. The
-// caller must have arranged for a wakeup before calling. The parking
-// goroutine drives the dispatch loop itself until the token moves on; if the
-// very next event is its own wake-up, it returns without blocking.
+// caller must have arranged for a wakeup before calling.
 func (p *Proc) yieldWait() {
-	if p.sim.schedule(p) {
-		return
+	if !p.yield(struct{}{}) {
+		panic(errStopped)
 	}
-	<-p.wake
 }
 
 // park blocks the process indefinitely; some other component must call
@@ -600,23 +537,9 @@ func (p *Proc) park() {
 // unpark schedules p to resume at the current virtual time. It enqueues on
 // the ready-run queue rather than the event heap: the resumption is stamped
 // with the sequence number a heap event would have carried, so the dispatch
-// loop fires it in the identical (time, seq) slot at O(1) cost. When the
-// backing array fills while at least half of it is drained prefix, the live
-// tail compacts to the front instead of growing, so a workload whose ready
-// queue never fully drains still settles into zero steady-state allocation.
-// This hand-inlines fifo.Push's compaction scheme (the ready queue stays
-// hand-rolled because readyFirst peeks the head on the dispatch hot path);
-// keep the two in sync.
+// loop fires it in the identical (time, seq) slot at O(1) cost.
 func (s *Sim) unpark(p *Proc) {
-	if len(s.ready) == cap(s.ready) && s.rhead > 0 && s.rhead >= cap(s.ready)/2 {
-		n := copy(s.ready, s.ready[s.rhead:])
-		for i := n; i < len(s.ready); i++ {
-			s.ready[i] = readyProc{}
-		}
-		s.ready = s.ready[:n]
-		s.rhead = 0
-	}
-	s.ready = append(s.ready, readyProc{seq: s.seq, proc: p})
+	s.ready.Push(readyProc{seq: s.seq, proc: p})
 	s.seq++
 }
 
@@ -624,7 +547,7 @@ func (s *Sim) unpark(p *Proc) {
 // detection. It is the building block for external blocking primitives
 // (mailbox receives, future waits) where indefinite idling is legitimate:
 // a server loop parked on an empty mailbox when the run drains is idle, not
-// deadlocked. Its goroutine is reclaimed when the process exits.
+// deadlocked. Drain stops such a process where it parks.
 func (p *Proc) ParkIdle() { p.yieldWait() }
 
 // Unpark schedules a process blocked in ParkIdle to resume at the current
@@ -638,7 +561,7 @@ func (s *Sim) Unpark(p *Proc) { s.unpark(p) }
 // Fast path: when no other event is due at or before the wake time (and the
 // wake time is within the current drive's horizon), sleeping cannot
 // interleave with anything, so the kernel advances virtual time inline and
-// returns without parking the goroutine or touching the event heap. Relative
+// returns without parking the process or touching the event heap. Relative
 // event order is exactly that of the slow path.
 func (p *Proc) Sleep(d time.Duration) {
 	s := p.sim
@@ -649,7 +572,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	// wake >= s.now rejects additive overflow; the slow path's alloc then
 	// panics on it loudly instead of moving the clock backward. A pending
 	// ready entry is an event due now, so it also forces the slow path.
-	if !s.noFastPath && wake >= s.now && wake <= s.limit && s.rhead == len(s.ready) && (len(s.queue) == 0 || s.queue[0].at > wake) {
+	if !s.noFastPath && wake >= s.now && wake <= s.limit && s.ready.Len() == 0 && (len(s.queue) == 0 || s.queue[0].at > wake) {
 		s.now = wake
 		return
 	}

@@ -381,3 +381,38 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestBodyPanicSurfacesFromRun pins that a panic in a process body reaches
+// the Run caller with its original value, here from a process resumed off
+// the ready queue, and that Drain still reclaims the remaining coroutines.
+func TestBodyPanicSurfacesFromRun(t *testing.T) {
+	type boom struct{ at time.Duration }
+	s := New(1)
+	q := NewQueue(s, "q")
+	s.Spawn("victim", func(p *Proc) {
+		q.Recv(p)
+		panic(boom{p.Now()})
+	})
+	s.Spawn("sender", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		q.Send(nil)
+		p.Sleep(time.Second) // still parked when the panic unwinds Run
+	})
+	var got any
+	returned := false
+	func() {
+		defer func() { got = recover() }()
+		s.Run()
+		returned = true
+	}()
+	if returned {
+		t.Fatal("Run returned normally despite a panicking process")
+	}
+	if got != (boom{time.Millisecond}) {
+		t.Fatalf("Run panicked with %#v, want boom{1ms}", got)
+	}
+	s.Drain()
+	if n := s.Workers(); n != 0 {
+		t.Fatalf("Workers = %d after Drain, want 0", n)
+	}
+}
